@@ -14,7 +14,8 @@ dumps are canonical (sorted keys, two-space indent, trailing newline),
 so parsing and re-serializing them is byte-identical.
 
 Exit codes: 0 success or verified, 1 counterexample found, 2 usage
-error, 3 brute-force budget exceeded.
+error (including any ValueError the library raises on the arguments),
+3 brute-force budget exceeded.
 
 Defaults for --order, --seed and --budget can be overridden with the
 IMPTABLES_ORDER, IMPTABLES_SEED and IMPTABLES_BUDGET environment
@@ -290,6 +291,8 @@ def _cmd_monoid(args: argparse.Namespace) -> int:
     if args.kmax < 2:
         raise CliUsageError(f"--kmax must be at least 2, got {args.kmax}")
     tamper = _parse_tamper(args.tamper)
+    if tamper is not None and tamper[1] > order:
+        raise CliUsageError(f"--tamper index {tamper[1]} outside orders 0..{order}")
     reports = run_all(order=order, k_max=args.kmax, seed=seed, tamper=tamper)
     all_ok = all(r.verified for r in reports)
     if args.format == "plain":
@@ -477,7 +480,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except CliUsageError as exc:
+    except (CliUsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetError as exc:

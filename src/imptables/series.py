@@ -1,9 +1,9 @@
 """Truncated formal power series over exact rationals.
 
-Coefficients are `fractions.Fraction`; nothing here ever rounds.  A
-series carries its truncation order explicitly, and every binary
-operation truncates to the smaller participating order rather than
-padding, so precision loss is always visible in the result's order.
+Coefficients are `int` when integral, else `Fraction`; nothing ever
+rounds.  A series carries its truncation order explicitly, and every
+binary operation truncates to the smaller participating order rather
+than padding, so precision loss is always visible in the result's order.
 
 The module also builds the closed forms of the truth-table count
 series.  Writing s = sqrt(1-12x) and w = sqrt(5+24x+4s), the
@@ -16,14 +16,16 @@ and with s2 = sqrt(1-8x), w2 = sqrt(2+2*s2+8x) the classical counts are
 
     s: (-1 - s2 + w2)/4     r: (3 - s2 - w2)/4     g2: (1 - s2)/2.
 
-All count series must expand to nonnegative integers even though every
-intermediate is a general rational; that is asserted at construction.
+Count series must expand to nonnegative integers (asserted at construction);
+the four radicals are integral too, so only the final division meets `Fraction`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
@@ -36,10 +38,10 @@ class ConsistencyError(Exception):
     """
 
 
-def _rational_sqrt(q: Fraction) -> Fraction:
-    """Exact nonnegative square root of a rational, or ValueError."""
-    if q < 0:
-        raise ValueError(f"cannot take the square root of {q}")
+def _rational_sqrt(q: Scalar) -> Fraction:
+    """Exact positive square root of a positive rational, or ValueError."""
+    if q <= 0:
+        raise ValueError(f"series sqrt needs a positive constant term, got {q}")
     num, den = q.numerator, q.denominator
     rn, rd = math.isqrt(num), math.isqrt(den)
     if rn * rn != num or rd * rd != den:
@@ -47,13 +49,19 @@ def _rational_sqrt(q: Fraction) -> Fraction:
     return Fraction(rn, rd)
 
 
+def _exact(c: Scalar) -> Scalar:
+    """`c` as an `int` when it is integral, else as a `Fraction`."""
+    q = c if type(c) is int else Fraction(c)
+    return q.numerator if q.denominator == 1 else q
+
+
 class PowerSeries:
-    """A series c0 + c1*x + ... + cN*x**N with exact rational coefficients."""
+    """A series c0 + ... + cN*x**N: `int` coefficients when integral, else `Fraction`."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar]):
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = tuple(map(_exact, coeffs))
         if not cs:
             raise ValueError("a series needs at least its constant coefficient")
         object.__setattr__(self, "coeffs", cs)
@@ -81,8 +89,8 @@ class PowerSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def coefficient(self, n: int) -> Fraction:
-        """The coefficient of x**n; IndexError beyond the truncation order."""
+    def coefficient(self, n: int) -> Scalar:
+        """The x**n coefficient: `int` when integral, else `Fraction`; IndexError past N."""
         if not 0 <= n <= self.order:
             raise IndexError(
                 f"coefficient {n} requested but only orders 0..{self.order} are tracked"
@@ -107,22 +115,19 @@ class PowerSeries:
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        return PowerSeries(a + b for a, b in zip(self.coeffs[: n + 1], other.coeffs))
+        return PowerSeries(a + b for a, b in zip(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        return PowerSeries(a - b for a, b in zip(self.coeffs[: n + 1], other.coeffs))
+        return PowerSeries(a - b for a, b in zip(self.coeffs, other.coeffs))
 
     def __neg__(self) -> "PowerSeries":
         return PowerSeries(-c for c in self.coeffs)
 
     def scale(self, factor: Scalar) -> "PowerSeries":
         """Multiply every coefficient by a scalar; the order is preserved."""
-        f = Fraction(factor)
-        return PowerSeries(f * c for c in self.coeffs)
+        return PowerSeries(factor * c for c in self.coeffs)
 
     def __rmul__(self, factor: Scalar) -> "PowerSeries":
         if isinstance(factor, (int, Fraction)):
@@ -136,7 +141,7 @@ class PowerSeries:
 
     def shift(self) -> "PowerSeries":
         """Multiply by x: prepend a zero, keep the order (top term drops)."""
-        return PowerSeries((Fraction(0),) + self.coeffs[:-1])
+        return PowerSeries((0,) + self.coeffs[:-1])
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         if isinstance(other, (int, Fraction)):
@@ -145,10 +150,7 @@ class PowerSeries:
             return NotImplemented
         n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
-        out = []
-        for m in range(n + 1):
-            out.append(sum(a[k] * b[m - k] for k in range(m + 1)))
-        return PowerSeries(out)
+        return PowerSeries(sum(map(mul, a[: m + 1], b[m::-1])) for m in range(n + 1))
 
     def __pow__(self, exponent: int) -> "PowerSeries":
         if not isinstance(exponent, int) or exponent < 0:
@@ -167,23 +169,19 @@ class PowerSeries:
             y_n = (a_n - sum_{k=1}^{n-1} y_k y_{n-k}) / (2 y_0).
         """
         a = self.coeffs
-        y0 = _rational_sqrt(a[0])
-        if y0 == 0:
-            raise ValueError("series sqrt needs a nonzero constant term")
+        y0 = _exact(_rational_sqrt(a[0]))
         ys = [y0]
         for n in range(1, self.order + 1):
-            acc = a[n] - sum(ys[k] * ys[n - k] for k in range(1, n))
-            ys.append(acc / (2 * y0))
+            acc = a[n] - sum(map(mul, ys[1:n], ys[n - 1 : 0 : -1]))
+            ys.append(_exact(Fraction(acc, 2 * y0)))
         return PowerSeries(ys)
 
     def integer_coefficients(self) -> tuple[int, ...]:
         """Coefficients as plain ints; ConsistencyError if any is not one."""
-        out = []
         for n, c in enumerate(self.coeffs):
-            if c.denominator != 1:
+            if type(c) is not int:
                 raise ConsistencyError(f"coefficient of x^{n} is non-integral: {c}")
-            out.append(c.numerator)
-        return tuple(out)
+        return self.coeffs
 
     def __repr__(self) -> str:
         shown = ", ".join(str(c) for c in self.coeffs[:8])
@@ -210,6 +208,7 @@ _DESCRIPTIONS = {
 }
 
 
+@functools.lru_cache(maxsize=4)
 def _kleene_radicals(order: int) -> tuple[PowerSeries, PowerSeries]:
     one = PowerSeries.identity(order)
     x = PowerSeries.x(order)
@@ -218,6 +217,7 @@ def _kleene_radicals(order: int) -> tuple[PowerSeries, PowerSeries]:
     return s, w
 
 
+@functools.lru_cache(maxsize=4)
 def _classical_radicals(order: int) -> tuple[PowerSeries, PowerSeries]:
     one = PowerSeries.identity(order)
     x = PowerSeries.x(order)

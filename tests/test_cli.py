@@ -179,6 +179,22 @@ class TestMonoid:
         code, _, err = run(capsys, "monoid", "--tamper", "i:0:1")
         assert code == 2
 
+    def test_tamper_index_beyond_order(self, capsys):
+        code, out, err = run(capsys, "monoid", "--order", "12", "--tamper", "t:99:1")
+        assert code == 2
+        assert out == ""
+        assert "error: --tamper index 99 outside orders 0..12" in err
+
+    def test_library_value_error_is_a_usage_error(self, capsys, monkeypatch):
+        def reject(**kwargs):
+            raise ValueError("rejected by the library")
+
+        monkeypatch.setattr("imptables.cli.run_all", reject)
+        code, out, err = run(capsys, "monoid", "--order", "4")
+        assert code == 2
+        assert out == ""
+        assert err == "error: rejected by the library\n"
+
     def test_bad_order(self, capsys):
         code, _, err = run(capsys, "monoid", "--order", "1")
         assert code == 2

@@ -11,6 +11,8 @@ from imptables.series import (
     SERIES_NAMES,
     ConsistencyError,
     PowerSeries,
+    _classical_radicals,
+    _kleene_radicals,
     closed_form,
     series_description,
 )
@@ -22,6 +24,37 @@ rationals = st.fractions(
 
 def series_strategy(max_order=8):
     return st.lists(rationals, min_size=1, max_size=max_order + 1).map(PowerSeries)
+
+
+# plain ints and Fractions, integral ones included, in one coefficient list
+mixed_coefficients = st.lists(
+    st.one_of(st.integers(min_value=-10, max_value=10), rationals),
+    min_size=1,
+    max_size=9,
+)
+
+
+def fraction_product(a, b):
+    """Reference Cauchy product over Fraction only, truncated to the shorter."""
+    a, b = [Fraction(c) for c in a], [Fraction(c) for c in b]
+    n = min(len(a), len(b))
+    return [sum((a[k] * b[m - k] for k in range(m + 1)), Fraction(0)) for m in range(n)]
+
+
+def fraction_sqrt(a, root0):
+    """Reference series square root over Fraction only, given the root of a[0]."""
+    a = [Fraction(c) for c in a]
+    ys = [Fraction(root0)]
+    for n in range(1, len(a)):
+        acc = a[n] - sum((ys[k] * ys[n - k] for k in range(1, n)), Fraction(0))
+        ys.append(acc / (2 * ys[0]))
+    return ys
+
+
+def assert_normal_form(series):
+    """Integral coefficients are stored as int, all others as Fraction."""
+    for c in series.coeffs:
+        assert type(c) is (int if Fraction(c).denominator == 1 else Fraction)
 
 
 def binomial_sqrt_coefficient(n, scale):
@@ -112,6 +145,12 @@ class TestArithmetic:
         n = min(a.order, b.order, c.order)
         assert ((a * b) * c).truncate(n) == (a * (b * c)).truncate(n)
 
+    @given(mixed_coefficients, mixed_coefficients)
+    def test_mul_matches_fraction_reference(self, a, b):
+        product = PowerSeries(a) * PowerSeries(b)
+        assert product.coeffs == tuple(fraction_product(a, b))
+        assert_normal_form(product)
+
     @given(series_strategy(5), series_strategy(5), series_strategy(5))
     def test_mul_distributes(self, a, b, c):
         n = min(a.order, b.order, c.order)
@@ -156,6 +195,27 @@ class TestSqrt:
             PowerSeries([-1, 1]).sqrt()
         with pytest.raises(ValueError):
             PowerSeries([0, 1]).sqrt()
+
+    def test_non_integral_root_stays_exact(self):
+        root = PowerSeries([1, 1]).sqrt()
+        assert root.coeffs == (1, Fraction(1, 2))
+        assert type(root.coefficient(1)) is Fraction
+        longer = PowerSeries([1, 1, 0, 0, 0]).sqrt()
+        for n in range(5):
+            assert longer.coefficient(n) == binomial_sqrt_coefficient(n, 1)
+        assert_normal_form(longer)
+
+    @given(
+        mixed_coefficients,
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=1, max_value=4),
+    )
+    def test_matches_fraction_reference(self, body, num, den):
+        root0 = Fraction(num, den)
+        coeffs = [root0 * root0] + body[1:]
+        root = PowerSeries(coeffs).sqrt()
+        assert root.coeffs == tuple(fraction_sqrt(coeffs, root0))
+        assert_normal_form(root)
 
     @given(series_strategy(6), st.integers(min_value=1, max_value=5))
     def test_round_trip(self, body, constant):
@@ -206,6 +266,32 @@ class TestClosedForms:
             coeffs = closed_form(name, 50).integer_coefficients()
             assert coeffs[0] == 0
             assert all(c >= 0 for c in coeffs)
+
+    def test_count_series_coefficients_are_plain_ints(self):
+        for name in SERIES_NAMES:
+            series = closed_form(name, 50)
+            assert all(type(c) is int for c in series.coeffs), name
+
+    def test_radicals_are_integral_to_order_300(self):
+        # s = sqrt(1-12x), w = sqrt(5+24x+4s), s2 = sqrt(1-8x), w2 = sqrt(2+2s2+8x)
+        radicals = _kleene_radicals(300) + _classical_radicals(300)
+        for radical in radicals:
+            assert radical.order == 300
+            assert all(type(c) is int for c in radical.coeffs)
+        s, w, s2, w2 = radicals
+        one, x = PowerSeries.identity(300), PowerSeries.x(300)
+        assert s * s == one - 12 * x
+        assert w * w == 5 * one + 24 * x + 4 * s
+        assert s2 * s2 == one - 8 * x
+        assert w2 * w2 == 2 * one + 2 * s2 + 8 * x
+
+    def test_radicals_built_once_per_order(self):
+        _kleene_radicals.cache_clear()
+        for name in KLEENE_SERIES:
+            closed_form(name, 20)
+        info = _kleene_radicals.cache_info()
+        assert (info.misses, info.hits) == (1, len(KLEENE_SERIES) - 1)
+        assert info.maxsize is not None and info.maxsize <= 8
 
     def test_self_similarity(self):
         # the total series satisfy G^2 = G - radix*x in both logics
