@@ -37,6 +37,7 @@ from .logic import (
     catalan,
     color_class_counts,
     enumerate_bracketings,
+    evaluate,
     format_formula,
     iter_valuations,
     semantics_from_radix,
@@ -48,6 +49,9 @@ from .series import SERIES_NAMES, closed_form, series_description
 DEFAULT_ORDER = 40
 DEFAULT_K_MAX = 6
 DEFAULT_SEED = 0
+
+# The count series of each truth value, by radix, in display order.
+COUNT_SERIES = {3: {"t": 1, "f": 0, "u": 2}, 2: {"r": 1, "s": 0}}
 
 
 class CliUsageError(Exception):
@@ -64,7 +68,9 @@ def _env_int(name: str) -> Optional[int]:
         raise CliUsageError(f"environment variable {name} must be an integer, got {raw!r}")
 
 
-def _resolve(flag_value: Optional[int], env_name: str, fallback: int) -> int:
+def _resolve(
+    flag_value: Optional[int], env_name: str, fallback: Optional[int]
+) -> Optional[int]:
     if flag_value is not None:
         return flag_value
     env_value = _env_int(env_name)
@@ -85,12 +91,6 @@ def _emit(text: str, destination: Optional[str]) -> None:
             handle.write(text)
 
 
-def _budget(args: argparse.Namespace) -> Optional[int]:
-    if args.budget is not None:
-        return args.budget
-    return _env_int("IMPTABLES_BUDGET")
-
-
 # --- series ------------------------------------------------------------------
 
 
@@ -99,7 +99,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
     if n_max < 1:
         raise CliUsageError(f"--n must be at least 1, got {n_max}")
     series = closed_form(args.name, n_max)
-    values = [int(series.coefficient(n)) for n in range(1, n_max + 1)]
+    values = [series.coefficient(n) for n in range(1, n_max + 1)]
     if args.format == "plain":
         text = " ".join(str(v) for v in values) + "\n"
     elif args.format == "csv":
@@ -138,7 +138,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     tree = enumerate_bracketings(n)[args.index]
     formula = format_formula(tree)
     rows = [
-        (valuation, _evaluate_row(tree, valuation, sem))
+        (valuation, evaluate(tree, valuation, sem))
         for valuation in iter_valuations(n, sem)
     ]
     if args.format == "plain":
@@ -163,35 +163,22 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _evaluate_row(tree, valuation, sem: Semantics) -> int:
-    from .logic import evaluate
-
-    return evaluate(tree, valuation, sem)
-
-
 # --- verify ------------------------------------------------------------------
 
 
-def _count_names(sem: Semantics) -> tuple[str, ...]:
-    return ("t", "f", "u") if sem.radix == 3 else ("r", "s")
-
-
-def _verify_rows(n_max: int, sem: Semantics, budget: Optional[int]) -> list[dict]:
-    limit = sem.brute_budget if budget is None else budget
-    names = _count_names(sem)
+def _verify_rows(n_max: int, sem: Semantics, limit: int) -> list[dict]:
+    names = COUNT_SERIES[sem.radix]
     table = counts_by_recurrence(n_max, sem)
     closed = {name: closed_form(name, n_max) for name in names}
     rows = []
     for n in range(1, n_max + 1):
-        recurrence = dict(zip(names, _ordered_counts(table.row(n), sem)))
-        closed_row = {name: int(closed[name].coefficient(n)) for name in names}
+        tallies = table.row(n)
+        recurrence = {name: tallies[value] for name, value in names.items()}
+        closed_row = {name: closed[name].coefficient(n) for name in names}
         brute_row = None
         if n <= limit:
             counts = brute_counts(n, sem, budget=limit)
-            if sem.radix == 3:
-                brute_row = {"t": counts.t, "f": counts.f, "u": counts.u}
-            else:
-                brute_row = {"r": counts.r, "s": counts.s}
+            brute_row = {name: getattr(counts, name) for name in names}
         candidates = [recurrence, closed_row] + ([brute_row] if brute_row else [])
         agree = all(c == candidates[0] for c in candidates)
         rows.append(
@@ -206,23 +193,17 @@ def _verify_rows(n_max: int, sem: Semantics, budget: Optional[int]) -> list[dict
     return rows
 
 
-def _ordered_counts(row: dict[int, int], sem: Semantics) -> tuple[int, ...]:
-    if sem.radix == 3:
-        return (row[1], row[0], row[2])
-    return (row[1], row[0])
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     sem = semantics_from_radix(args.semantics)
     n_max = args.n if args.n is not None else (7 if sem.radix == 3 else 9)
     if n_max < 1:
         raise CliUsageError(f"--n must be at least 1, got {n_max}")
-    budget = _budget(args)
-    rows = _verify_rows(n_max, sem, budget)
+    budget = _resolve(args.budget, "IMPTABLES_BUDGET", None)
+    limit = sem.brute_budget if budget is None else budget
+    rows = _verify_rows(n_max, sem, limit)
     all_agree = all(row["agree"] for row in rows)
-    names = _count_names(sem)
+    names = COUNT_SERIES[sem.radix]
     if args.format == "plain":
-        limit = sem.brute_budget if budget is None else budget
         lines = [
             f"{sem.name} three-way agreement, n <= {n_max} (brute budget {limit})"
         ]
@@ -344,19 +325,19 @@ def _cmd_colors(args: argparse.Namespace) -> int:
     n = args.n
     if n < 2:
         raise CliUsageError(f"--n must be at least 2 (a root split is needed), got {n}")
-    classes = color_class_counts(n, sem, budget=_budget(args))
-    convolutions = None
-    if sem.radix == 2:
-        r = closed_form("r", n)
-        s = closed_form("s", n)
-        by_value = {1: r, 0: s}
-        convolutions = {
-            (a, b): int((by_value[a] * by_value[b]).coefficient(n))
-            for a in sem.values
-            for b in sem.values
-        }
+    budget = _resolve(args.budget, "IMPTABLES_BUDGET", None)
+    classes = color_class_counts(n, sem, budget=budget)
+    names = COUNT_SERIES[sem.radix]
+    by_value = {value: closed_form(name, n) for name, value in names.items()}
+    products = {
+        (a, b): (by_value[a] * by_value[b]).coefficient(n)
+        for a in sem.values
+        for b in sem.values
+    }
     keys = sorted(classes, reverse=True)
-    agree = convolutions is None or all(classes[k] == convolutions[k] for k in keys)
+    agree = all(classes[k] == products[k] for k in keys)
+    # Only the classical products are shown; the three-valued ones are checked.
+    convolutions = products if sem.radix == 2 else None
     if args.format == "plain":
         lines = [f"root-split color classes, n={n} [{sem.name}]"]
         for a, b in keys:
@@ -365,7 +346,7 @@ def _cmd_colors(args: argparse.Namespace) -> int:
                 line += f" (convolution {convolutions[a, b]})"
             lines.append(line)
         lines.append(f"total {sum(classes.values())}")
-        if convolutions is not None:
+        if convolutions is not None or not agree:
             lines.append(
                 "classes match convolutions" if agree else "MISMATCH with convolutions"
             )

@@ -7,8 +7,9 @@ symbolically as exponent vectors over the generators; `Realizer` turns a
 vector into an exact truncated series by multiplying out memoized
 generator powers.
 
-Every checker compares exact rational coefficients up to a truncation
-order and reports the first failing index with both sides as a witness.
+Every checker yields its cases to one runner, `_check`, which compares
+exact rational coefficients up to a truncation order and reports the
+first failing index with both sides as a witness.
 A deliberate tamper hook can corrupt one coefficient of one generator so
 the pipeline's failure path can be exercised end to end.
 
@@ -31,7 +32,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .logic import CLASSICAL, KLEENE, Semantics, color_class_counts
 from .series import PowerSeries, closed_form
@@ -155,28 +156,24 @@ class Realizer:
         self.order = order
         self.semantics = _semantics(logic)
         names = GENERATORS[logic] + (TOTALS[logic],)
+        if tamper is not None:
+            name, index, delta = tamper
+            if name not in names:
+                raise ValueError(
+                    f"tamper target {name!r} is not a {logic} series (have {sorted(names)})"
+                )
+            if not 0 <= index <= order:
+                raise ValueError(f"tamper index {index} outside orders 0..{order}")
         self._series = {name: closed_form(name, order) for name in names}
         if tamper is not None:
-            self._apply_tamper(tamper)
+            coeffs = list(self._series[name].coeffs)
+            coeffs[index] += delta
+            self._series[name] = PowerSeries(coeffs)
         self._powers: dict[str, list[PowerSeries]] = {
             name: [PowerSeries.identity(order), series]
             for name, series in self._series.items()
         }
         self._realized: dict[tuple[int, ...], PowerSeries] = {}
-
-    def _apply_tamper(self, tamper: Tamper) -> None:
-        name, index, delta = tamper
-        if name not in self._series:
-            raise ValueError(
-                f"tamper target {name!r} is not a {self.logic} series "
-                f"(have {sorted(self._series)})"
-            )
-        if not 0 <= index <= self.order:
-            raise ValueError(f"tamper index {index} outside orders 0..{self.order}")
-        series = self._series[name]
-        coeffs = list(series.coeffs)
-        coeffs[index] += delta
-        self._series[name] = PowerSeries(coeffs)
 
     def series(self, name: str) -> PowerSeries:
         return self._series[name]
@@ -251,48 +248,69 @@ def _triples(
 
 # --- checkers ----------------------------------------------------------------
 
+# One case of a claim: two coefficient sequences, the relation that must hold
+# between them at every index in `ns`, the witness context ("{n}" stands for
+# the failing index) and the failure detail ("{count}" for the cases run so
+# far).  Claims yield their cases lazily, so work stops at the first failure.
+Case = tuple[
+    Sequence, Sequence, Callable[[object, object], bool], Iterable[int], str, str
+]
 
-def _compare(
-    lhs: PowerSeries,
-    rhs: PowerSeries,
-    order: int,
-    context: str,
-    start: int = 0,
-) -> Optional[Witness]:
-    for n in range(start, order + 1):
-        a, b = lhs.coefficient(n), rhs.coefficient(n)
-        if a != b:
-            return Witness(n=n, lhs=a, rhs=b, context=context)
-    return None
+
+def _equal(lhs, rhs) -> bool:
+    return lhs == rhs
+
+
+def _below_total(c, g) -> bool:
+    """A nonnegative integer strictly below the total's coefficient."""
+    return c.denominator == 1 and 0 <= c < g
+
+
+def _dominated(lhs, rhs) -> bool:
+    """At most rhs, and strictly below it wherever rhs is nonzero."""
+    return lhs < rhs or lhs == rhs == 0
+
+
+def _check(
+    claim: str, order: int, cases: Iterable[Case], passed: str
+) -> VerificationReport:
+    """Run the cases in turn; the first index where a relation fails ends
+    the claim with both values as the witness.  `passed` is the detail
+    reported when every case holds ("{count}" is the number of cases).
+    """
+    count = 0
+    for lhs, rhs, holds, ns, context, failed in cases:
+        count += 1
+        for n in ns:
+            if not holds(lhs[n], rhs[n]):
+                witness = Witness(n, lhs[n], rhs[n], context.format(n=n))
+                return VerificationReport(
+                    claim, failed.format(count=count), order, False, witness
+                )
+    return VerificationReport(claim, passed.format(count=count), order, True)
 
 
 def verify_commutativity(
     realizer: Realizer, pairs: Iterable[tuple[MonoidElement, MonoidElement]]
 ) -> VerificationReport:
     """realize(a)*realize(b) equals realize(b)*realize(a), coefficientwise."""
-    order = realizer.order
-    count = 0
-    for a, b in pairs:
-        count += 1
-        witness = _compare(
-            realizer.realize(a) * realizer.realize(b),
-            realizer.realize(b) * realizer.realize(a),
-            order,
+    every_n = range(realizer.order + 1)
+    cases = (
+        (
+            (realizer.realize(a) * realizer.realize(b)).coeffs,
+            (realizer.realize(b) * realizer.realize(a)).coeffs,
+            _equal,
+            every_n,
             f"({a})*({b}) vs ({b})*({a})",
+            "product order changed a result among {count} pairs",
         )
-        if witness is not None:
-            return VerificationReport(
-                claim=f"commutativity[{realizer.logic}]",
-                detail=f"product order changed a result among {count} pairs",
-                order=order,
-                verified=False,
-                witness=witness,
-            )
-    return VerificationReport(
-        claim=f"commutativity[{realizer.logic}]",
-        detail=f"{count} sampled pairs multiply identically in both orders",
-        order=order,
-        verified=True,
+        for a, b in pairs
+    )
+    return _check(
+        f"commutativity[{realizer.logic}]",
+        realizer.order,
+        cases,
+        "{count} sampled pairs multiply identically in both orders",
     )
 
 
@@ -301,30 +319,25 @@ def verify_associativity(
     triples: Iterable[tuple[MonoidElement, MonoidElement, MonoidElement]],
 ) -> VerificationReport:
     """(a*b)*c equals a*(b*c) on realized series, coefficientwise."""
-    order = realizer.order
-    count = 0
-    for a, b, c in triples:
-        count += 1
-        ra, rb, rc = realizer.realize(a), realizer.realize(b), realizer.realize(c)
-        witness = _compare(
-            (ra * rb) * rc,
-            ra * (rb * rc),
-            order,
-            f"(({a})*({b}))*({c}) vs ({a})*(({b})*({c}))",
-        )
-        if witness is not None:
-            return VerificationReport(
-                claim=f"associativity[{realizer.logic}]",
-                detail=f"association order changed a result among {count} triples",
-                order=order,
-                verified=False,
-                witness=witness,
+    every_n = range(realizer.order + 1)
+
+    def cases() -> Iterator[Case]:
+        for a, b, c in triples:
+            ra, rb, rc = realizer.realize(a), realizer.realize(b), realizer.realize(c)
+            yield (
+                ((ra * rb) * rc).coeffs,
+                (ra * (rb * rc)).coeffs,
+                _equal,
+                every_n,
+                f"(({a})*({b}))*({c}) vs ({a})*(({b})*({c}))",
+                "association order changed a result among {count} triples",
             )
-    return VerificationReport(
-        claim=f"associativity[{realizer.logic}]",
-        detail=f"{count} sampled triples associate identically",
-        order=order,
-        verified=True,
+
+    return _check(
+        f"associativity[{realizer.logic}]",
+        realizer.order,
+        cases(),
+        "{count} sampled triples associate identically",
     )
 
 
@@ -338,32 +351,28 @@ def verify_bound(
     ValueError if passed.
     """
     order = realizer.order
-    total = realizer.total()
-    count = 0
-    for e in elements:
-        if e.is_identity:
-            raise ValueError("the bound claim excludes the identity element")
-        count += 1
-        realized = realizer.realize(e)
-        for n in range(2, order + 1):
-            c = realized.coefficient(n)
-            g = total.coefficient(n)
-            if c.denominator != 1 or c < 0 or c >= g:
-                return VerificationReport(
-                    claim=f"bound[{realizer.logic}]",
-                    detail=f"a coefficient of {e} escapes [0, total) among {count} elements",
-                    order=order,
-                    verified=False,
-                    witness=Witness(n=n, lhs=c, rhs=g, context=f"[x^{n}]({e}) vs total"),
-                )
-    return VerificationReport(
-        claim=f"bound[{realizer.logic}]",
-        detail=(
-            f"{count} nonidentity elements stay strictly below the total "
-            f"series for 2 <= n <= {order}"
-        ),
-        order=order,
-        verified=True,
+    total = realizer.total().coeffs
+    above_one = range(2, order + 1)
+
+    def cases() -> Iterator[Case]:
+        for e in elements:
+            if e.is_identity:
+                raise ValueError("the bound claim excludes the identity element")
+            yield (
+                realizer.realize(e).coeffs,
+                total,
+                _below_total,
+                above_one,
+                f"[x^{{n}}]({e}) vs total",
+                f"a coefficient of {e} escapes [0, total) among {{count}} elements",
+            )
+
+    return _check(
+        f"bound[{realizer.logic}]",
+        order,
+        cases(),
+        "{count} nonidentity elements stay strictly below the total "
+        f"series for 2 <= n <= {order}",
     )
 
 
@@ -376,46 +385,51 @@ def verify_power_identities(realizer: Realizer, k_max: int) -> VerificationRepor
         raise ValueError("power identities are stated for the three-valued generators")
     if k_max < 2:
         raise ValueError(f"k_max must be at least 2, got {k_max}")
-    order = realizer.order
+    every_n = range(realizer.order + 1)
     f, g = realizer.series("f"), realizer.series("g")
-    for k in range(2, k_max + 1):
-        u_lhs = 3 * realizer.power("u", k)
-        u_rhs = realizer.power("u", k - 1) - realizer.power("u", k - 2).shift()
-        witness = _compare(u_lhs, u_rhs, order, f"3u^{k} vs u^{k - 1} - x*u^{k - 2}")
-        if witness is None:
-            f_lhs = realizer.power("f", k)
-            fk1 = realizer.power("f", k - 1)
-            f_rhs = 2 * (fk1 * realizer.series("u")) - fk1 + realizer.power("f", k - 2).shift()
-            witness = _compare(
-                f_lhs, f_rhs, order, f"f^{k} vs 2f^{k - 1}u - f^{k - 1} + x*f^{k - 2}"
+    power = realizer.power
+
+    def cases() -> Iterator[Case]:
+        for k in range(2, k_max + 1):
+            broke = f"an identity broke at k={k}"
+            yield (
+                (3 * power("u", k)).coeffs,
+                (power("u", k - 1) - power("u", k - 2).shift()).coeffs,
+                _equal,
+                every_n,
+                f"3u^{k} vs u^{k - 1} - x*u^{k - 2}",
+                broke,
             )
-        if witness is None:
-            tk1 = realizer.power("t", k - 1)
+            fk1 = power("f", k - 1)
+            yield (
+                power("f", k).coeffs,
+                (2 * (fk1 * realizer.series("u")) - fk1 + power("f", k - 2).shift()).coeffs,
+                _equal,
+                every_n,
+                f"f^{k} vs 2f^{k - 1}u - f^{k - 1} + x*f^{k - 2}",
+                broke,
+            )
+            tk1 = power("t", k - 1)
             t_rhs = (
-                Fraction(2, 3) * (tk1 * realizer.power("g", 2))
+                Fraction(2, 3) * (tk1 * power("g", 2))
                 - Fraction(2, 3) * (tk1 * g * f)
-                + tk1 * realizer.power("f", 2)
+                + tk1 * power("f", 2)
                 + tk1.shift()
             )
-            witness = _compare(
-                realizer.power("t", k),
-                t_rhs,
-                order,
+            yield (
+                power("t", k).coeffs,
+                t_rhs.coeffs,
+                _equal,
+                every_n,
                 f"t^{k} vs (2/3)t^{k - 1}g^2 - (2/3)t^{k - 1}gf + t^{k - 1}f^2 + x*t^{k - 1}",
+                broke,
             )
-        if witness is not None:
-            return VerificationReport(
-                claim="power-identities[kleene]",
-                detail=f"an identity broke at k={k}",
-                order=order,
-                verified=False,
-                witness=witness,
-            )
-    return VerificationReport(
-        claim="power-identities[kleene]",
-        detail=f"u, f and t power identities hold exactly for 2 <= k <= {k_max}",
-        order=order,
-        verified=True,
+
+    return _check(
+        "power-identities[kleene]",
+        realizer.order,
+        cases(),
+        f"u, f and t power identities hold exactly for 2 <= k <= {k_max}",
     )
 
 
@@ -430,69 +444,65 @@ def verify_partitions(realizer: Realizer, color_n_max: int = 6) -> VerificationR
     """
     order = realizer.order
     claim = f"partitions[{realizer.logic}]"
-
-    def fail(detail: str, witness: Witness) -> VerificationReport:
-        return VerificationReport(
-            claim=claim, detail=detail, order=order, verified=False, witness=witness
-        )
+    every_n = range(order + 1)
 
     if realizer.logic == "kleene":
         t, f, u = (realizer.series(name) for name in ("t", "f", "u"))
-        g = realizer.total()
-        witness = _compare(t + f + u, g, order, "t + f + u vs g")
-        if witness is not None:
-            return fail("t + f + u missed g", witness)
-        witness = _compare(3 * u, g, order, "3u vs g")
-        if witness is not None:
-            return fail("3u missed g", witness)
-        return VerificationReport(
-            claim=claim,
-            detail="t + f + u = g and g = 3u coefficientwise",
-            order=order,
-            verified=True,
-        )
+        g = realizer.total().coeffs
+        cases = [
+            ((t + f + u).coeffs, g, _equal, every_n, "t + f + u vs g", "t + f + u missed g"),
+            ((3 * u).coeffs, g, _equal, every_n, "3u vs g", "3u missed g"),
+        ]
+        return _check(claim, order, cases, "t + f + u = g and g = 3u coefficientwise")
 
     r, s = realizer.series("r"), realizer.series("s")
-    g2 = realizer.total()
-    witness = _compare(r + s, g2, order, "r + s vs g2")
-    if witness is not None:
-        return fail("r + s missed g2", witness)
-    quadrants = {
-        (1, 1): r * r,
-        (1, 0): r * s,
-        (0, 1): s * r,
-        (0, 0): s * s,
-    }
-    square = realizer.power("g2", 2)
-    four_sum = quadrants[1, 1] + quadrants[1, 0] + quadrants[0, 1] + quadrants[0, 0]
-    witness = _compare(four_sum, square, order, "rr + rs + sr + ss vs g2^2")
-    if witness is not None:
-        return fail("the four convolutions missed g2^2", witness)
-    witness = _compare(square, g2, order, "g2^2 vs g2", start=2)
-    if witness is not None:
-        return fail("g2^2 diverged from g2 at n >= 2", witness)
-    for n in range(2, min(color_n_max, order) + 1):
-        classes = color_class_counts(n, realizer.semantics)
-        for key, series in quadrants.items():
-            expected = series.coefficient(n)
-            if classes[key] != expected:
-                return fail(
+    g2 = realizer.total().coeffs
+    color_n = min(color_n_max, order)
+
+    def classical_cases() -> Iterator[Case]:
+        yield (r + s).coeffs, g2, _equal, every_n, "r + s vs g2", "r + s missed g2"
+        quadrants = {
+            (1, 1): r * r,
+            (1, 0): r * s,
+            (0, 1): s * r,
+            (0, 0): s * s,
+        }
+        square = realizer.power("g2", 2).coeffs
+        four_sum = quadrants[1, 1] + quadrants[1, 0] + quadrants[0, 1] + quadrants[0, 0]
+        yield (
+            four_sum.coeffs,
+            square,
+            _equal,
+            every_n,
+            "rr + rs + sr + ss vs g2^2",
+            "the four convolutions missed g2^2",
+        )
+        yield (
+            square,
+            g2,
+            _equal,
+            range(2, order + 1),
+            "g2^2 vs g2",
+            "g2^2 diverged from g2 at n >= 2",
+        )
+        for n in range(2, color_n + 1):
+            classes = color_class_counts(n, realizer.semantics)
+            for key, series in quadrants.items():
+                yield (
+                    {n: classes[key]},
+                    series.coeffs,
+                    _equal,
+                    (n,),
+                    f"color class {key} at n={n}",
                     "brute-force color classes disagreed with the convolutions",
-                    Witness(
-                        n=n,
-                        lhs=classes[key],
-                        rhs=expected,
-                        context=f"color class {key} at n={n}",
-                    ),
                 )
-    return VerificationReport(
-        claim=claim,
-        detail=(
-            "r + s = g2, the four convolutions sum to g2^2, g2^2 matches g2 "
-            f"for n >= 2, and color classes agree for 2 <= n <= {min(color_n_max, order)}"
-        ),
-        order=order,
-        verified=True,
+
+    return _check(
+        claim,
+        order,
+        classical_cases(),
+        "r + s = g2, the four convolutions sum to g2^2, g2^2 matches g2 "
+        f"for n >= 2, and color classes agree for 2 <= n <= {color_n}",
     )
 
 
@@ -505,38 +515,32 @@ def verify_ideal_samples(
     strict bound, witnessing that multiples of a generator stay inside
     the bounded set.
     """
-    order = realizer.order
-    total = realizer.total()
-    names = GENERATORS[realizer.logic]
+    total = realizer.total().coeffs
+    above_one = range(2, realizer.order + 1)
     elements = tuple(elements)
-    count = 0
-    for name in names:
-        for k in range(1, power_cap + 1):
-            p = MonoidElement.from_powers(realizer.logic, **{name: k})
-            for a in elements:
-                count += 1
-                product = realizer.realize(p * a)
-                for n in range(2, order + 1):
-                    c = product.coefficient(n)
-                    g = total.coefficient(n)
-                    if c.denominator != 1 or c < 0 or c >= g:
-                        return VerificationReport(
-                            claim=f"ideal-containment[{realizer.logic}]",
-                            detail=f"a generator multiple escaped the bound among {count} products",
-                            order=order,
-                            verified=False,
-                            witness=Witness(
-                                n=n, lhs=c, rhs=g, context=f"[x^{n}](({p})*({a})) vs total"
-                            ),
-                        )
-    return VerificationReport(
-        claim=f"ideal-containment[{realizer.logic}]",
-        detail=(
-            f"{count} products of generator powers (up to {power_cap}) with sampled "
-            f"elements stay strictly below the total"
-        ),
-        order=order,
-        verified=True,
+    powers = [
+        MonoidElement.from_powers(realizer.logic, **{name: k})
+        for name in GENERATORS[realizer.logic]
+        for k in range(1, power_cap + 1)
+    ]
+    cases = (
+        (
+            realizer.realize(p * a).coeffs,
+            total,
+            _below_total,
+            above_one,
+            f"[x^{{n}}](({p})*({a})) vs total",
+            "a generator multiple escaped the bound among {count} products",
+        )
+        for p in powers
+        for a in elements
+    )
+    return _check(
+        f"ideal-containment[{realizer.logic}]",
+        realizer.order,
+        cases,
+        f"{{count}} products of generator powers (up to {power_cap}) with sampled "
+        "elements stay strictly below the total",
     )
 
 
@@ -557,44 +561,33 @@ def verify_substitution_bounds(
     """
     if realizer.logic != "kleene":
         raise ValueError("substitution bounds are stated for the three-valued generators")
-    order = realizer.order
+    above_one = range(2, realizer.order + 1)
     families = (
         ("u", "f", "u", "[x^n](u^a*(u*f)^k) vs [x^n]u^k"),
         ("u", "t", "t", "[x^n](u^a*(u*t)^k) vs [x^n]t^k"),
         ("f", "t", "t", "[x^n](f^a*(f*t)^k) vs [x^n]t^k"),
     )
-    checked = 0
-    for extra_name, partner, target, pattern in families:
-        for a in range(extra_cap + 1):
-            for k in range(1, power_cap + 1):
-                checked += 1
-                lhs = realizer.realize(
-                    MonoidElement.from_powers("kleene", **{extra_name: a + k, partner: k})
-                )
-                rhs = realizer.power(target, k)
-                for n in range(2, order + 1):
-                    left, right = lhs.coefficient(n), rhs.coefficient(n)
-                    if left > right or (right != 0 and left >= right):
-                        return VerificationReport(
-                            claim="substitution-bounds[kleene]",
-                            detail=f"a domination pattern broke (a={a}, k={k})",
-                            order=order,
-                            verified=False,
-                            witness=Witness(
-                                n=n,
-                                lhs=left,
-                                rhs=right,
-                                context=f"{pattern} with a={a}, k={k}",
-                            ),
-                        )
-    return VerificationReport(
-        claim="substitution-bounds[kleene]",
-        detail=(
-            f"{checked} sampled (a, k) choices dominate as required, strictly "
-            f"wherever the pure power is nonzero"
-        ),
-        order=order,
-        verified=True,
+    cases = (
+        (
+            realizer.realize(
+                MonoidElement.from_powers("kleene", **{extra_name: a + k, partner: k})
+            ).coeffs,
+            realizer.power(target, k).coeffs,
+            _dominated,
+            above_one,
+            f"{pattern} with a={a}, k={k}",
+            f"a domination pattern broke (a={a}, k={k})",
+        )
+        for extra_name, partner, target, pattern in families
+        for a in range(extra_cap + 1)
+        for k in range(1, power_cap + 1)
+    )
+    return _check(
+        "substitution-bounds[kleene]",
+        realizer.order,
+        cases,
+        "{count} sampled (a, k) choices dominate as required, strictly "
+        "wherever the pure power is nonzero",
     )
 
 

@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from imptables.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -172,6 +175,45 @@ class TestMonoid:
         assert {"n", "lhs", "rhs", "context"} <= set(witnesses[0])
         assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == out
 
+    @pytest.mark.parametrize(
+        "argv, code, golden",
+        [
+            (("--order", "8"), 0, "monoid_order8.txt"),
+            (
+                ("--order", "8", "--kmax", "2", "--tamper", "t:3:1"),
+                1,
+                "monoid_order8_kmax2_tamper_t.txt",
+            ),
+            (
+                ("--order", "10", "--tamper", "s:4:-1", "--format", "json"),
+                1,
+                "monoid_order10_tamper_s.json",
+            ),
+            (
+                ("--order", "12", "--kmax", "3", "--tamper", "g:3:1", "--format", "json"),
+                1,
+                "monoid_order12_kmax3_tamper_g.json",
+            ),
+        ],
+    )
+    def test_golden_output(self, capsys, argv, code, golden):
+        got_code, out, _ = run(capsys, "monoid", *argv)
+        assert got_code == code
+        assert out == (GOLDEN / golden).read_text()
+
+    def test_fractional_witness_is_a_string(self, capsys):
+        code, out, _ = run(
+            capsys, "monoid", "--order", "12", "--kmax", "3", "--tamper", "g:3:1",
+            "--format", "json",
+        )
+        assert code == 1
+        report = next(
+            r for r in json.loads(out)["reports"] if r["claim"] == "power-identities[kleene]"
+        )
+        assert report["witness"]["lhs"] == 758
+        assert report["witness"]["rhs"] == "2284/3"
+        assert '"rhs": "2284/3"' in out
+
     def test_bad_tamper_argument(self, capsys):
         code, _, err = run(capsys, "monoid", "--tamper", "t:3")
         assert code == 2
@@ -240,6 +282,28 @@ class TestColors:
         assert lines[0] == "left,right,count"
         assert len(lines) == 1 + 9
         assert all(line.endswith(",1") for line in lines[1:])
+
+    def test_kleene_classes_checked_against_products(self, capsys, monkeypatch):
+        from imptables.series import PowerSeries, closed_form
+
+        def bent(name, order):
+            series = closed_form(name, order)
+            if name != "t":
+                return series
+            coeffs = list(series.coeffs)
+            coeffs[2] += 1
+            return PowerSeries(coeffs)
+
+        code, out, _ = run(capsys, "colors", "--n", "4")
+        assert code == 0
+        assert "MISMATCH" not in out
+        monkeypatch.setattr("imptables.cli.closed_form", bent)
+        code, out, _ = run(capsys, "colors", "--n", "4")
+        assert code == 1
+        assert out.endswith("MISMATCH with convolutions\n")
+        code, out, _ = run(capsys, "colors", "--n", "4", "--format", "json")
+        assert code == 1
+        assert json.loads(out)["agree"] is False
 
     def test_classical_csv_has_convolution_column(self, capsys):
         code, out, _ = run(

@@ -117,6 +117,15 @@ class TestRealizer:
         with pytest.raises(ValueError):
             Realizer("kleene", 10, tamper=("t", 11, 1))
 
+    @pytest.mark.parametrize("tamper", [("t", 99, 1), ("x", 0, 1)])
+    def test_tamper_rejected_before_any_expansion(self, monkeypatch, tamper):
+        def expand(name, order):
+            raise AssertionError("closed_form called before the tamper was checked")
+
+        monkeypatch.setattr("imptables.monoid.closed_form", expand)
+        with pytest.raises(ValueError, match="tamper"):
+            Realizer("kleene", 10, tamper=tamper)
+
     def test_tamper_shifts_one_coefficient(self):
         clean = Realizer("kleene", 10)
         bent = Realizer("kleene", 10, tamper=("t", 3, 5))
@@ -286,6 +295,31 @@ class TestRunAll:
         assert len(reports) == 11
         assert all(r.verified for r in reports)
         assert all(r.witness is None for r in reports)
+
+    def test_calls_every_claim_through_the_module(self, monkeypatch):
+        # The benchmark's tracer times each claim by rebinding these names.
+        import imptables.monoid as monoid
+
+        called = []
+        for name in dir(monoid):
+            if name.startswith("verify_"):
+                claim = getattr(monoid, name)
+
+                def spy(*args, _name=name, _claim=claim, **kwargs):
+                    called.append(_name)
+                    return _claim(*args, **kwargs)
+
+                monkeypatch.setattr(monoid, name, spy)
+        run_all(order=4, k_max=2)
+        assert set(called) == {
+            "verify_commutativity",
+            "verify_associativity",
+            "verify_bound",
+            "verify_partitions",
+            "verify_power_identities",
+            "verify_ideal_samples",
+            "verify_substitution_bounds",
+        }
 
     def test_tamper_hits_only_owning_logic(self):
         reports = run_all(order=12, k_max=3, seed=0, tamper=("t", 3, 1))
