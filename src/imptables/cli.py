@@ -25,12 +25,14 @@ variables; explicit flags always win.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence, TextIO
 
 from .logic import (
+    Bracketing,
     BudgetError,
     Semantics,
     brute_counts,
@@ -83,12 +85,18 @@ def _dump_json(payload: object) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(text: str, destination: Optional[str]) -> None:
+@contextlib.contextmanager
+def _output(destination: Optional[str]) -> Iterator[TextIO]:
     if destination is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(destination, "w", encoding="ascii") as handle:
-            handle.write(text)
+            yield handle
+
+
+def _emit(text: str, destination: Optional[str]) -> None:
+    with _output(destination) as out:
+        out.write(text)
 
 
 # --- series ------------------------------------------------------------------
@@ -124,6 +132,40 @@ def _cmd_series(args: argparse.Namespace) -> int:
 # --- table -------------------------------------------------------------------
 
 
+def _table_lines(tree: Bracketing, n: int, sem: Semantics, fmt: str) -> Iterator[str]:
+    """The table in ``fmt``, one row at a time, so no format holds the table.
+
+    The json text equals ``_dump_json`` of the payload ``{"formula",
+    "n", "rows": [{"valuation", "value"}], "semantics"}``: keys sorted
+    (``"valuation"`` before ``"value"``), two-space indent, and each
+    valuation digit on its own line.
+    """
+    formula = format_formula(tree)
+    rows = (
+        (valuation, evaluate(tree, valuation, sem))
+        for valuation in iter_valuations(n, sem)
+    )
+    if fmt == "plain":
+        yield f"{formula}  [{sem.name}]\n"
+        for valuation, value in rows:
+            yield " ".join(map(str, valuation)) + f" | {value}\n"
+    elif fmt == "csv":
+        yield ",".join(f"p{i}" for i in range(1, n + 1)) + ",value\n"
+        for valuation, value in rows:
+            yield ",".join(map(str, valuation)) + f",{value}\n"
+    else:
+        yield f'{{\n  "formula": {json.dumps(formula)},\n  "n": {n},\n  "rows": [\n'
+        separator = ""
+        for valuation, value in rows:
+            digits = ",\n".join(f"        {v}" for v in valuation)
+            yield (
+                f'{separator}    {{\n      "valuation": [\n{digits}\n      ],\n'
+                f'      "value": {value}\n    }}'
+            )
+            separator = ",\n"
+        yield f'\n  ],\n  "semantics": {json.dumps(sem.name)}\n}}\n'
+
+
 def _cmd_table(args: argparse.Namespace) -> int:
     sem = semantics_from_radix(args.semantics)
     n = args.n
@@ -136,30 +178,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
             f"bracketings, valid indices 0..{total - 1}"
         )
     tree = enumerate_bracketings(n)[args.index]
-    formula = format_formula(tree)
-    rows = [
-        (valuation, evaluate(tree, valuation, sem))
-        for valuation in iter_valuations(n, sem)
-    ]
-    if args.format == "plain":
-        lines = [f"{formula}  [{sem.name}]"]
-        lines += [" ".join(map(str, v)) + f" | {value}" for v, value in rows]
-        text = "\n".join(lines) + "\n"
-    elif args.format == "csv":
-        header = ",".join(f"p{i}" for i in range(1, n + 1)) + ",value"
-        lines = [header]
-        lines += [",".join(map(str, v)) + f",{value}" for v, value in rows]
-        text = "\n".join(lines) + "\n"
-    else:
-        text = _dump_json(
-            {
-                "formula": formula,
-                "n": n,
-                "semantics": sem.name,
-                "rows": [{"valuation": list(v), "value": value} for v, value in rows],
-            }
-        )
-    _emit(text, args.output)
+    with _output(args.output) as out:
+        out.writelines(_table_lines(tree, n, sem, args.format))
     return 0
 
 

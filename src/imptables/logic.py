@@ -40,7 +40,10 @@ class Semantics:
     name: str
     radix: int
     values: tuple[int, ...]
-    brute_budget: int  # default max n for full tree x valuation iteration
+    # Default max n for brute force.  Every subtree's bit-planes over all
+    # radix**n valuations are kept for one call, about radix**n / 8 bytes
+    # per memoized plane, so the budget bounds memory.
+    brute_budget: int
 
     def __str__(self) -> str:
         return self.name
@@ -193,50 +196,68 @@ class CountVector:
 
 # --- brute-force path ------------------------------------------------------
 #
-# The reference semantics is `evaluate`.  Iterating radix**n valuations
-# through a recursive evaluator is needlessly slow in CPython, so each
-# tree is flattened once to a postorder program and run with an explicit
-# stack.  tests assert this agrees with plain `evaluate`.
+# The reference semantics is `evaluate`; tests assert this path agrees
+# with it entry by entry.  Each subtree's truth table over all radix**n
+# valuations of the whole chain is held as bit-planes: one Python int per
+# truth value, whose bit k is set when valuation number k (in
+# `iter_valuations` order) gives that value.  A node's plane for value c
+# is the OR, over the table pairs (a, b) with a => b = c, of
+# left[a] & right[b], so one big-int operation evaluates a whole column
+# of valuations (Biham's bit-slicing, FSE 1997).  Every one of the
+# catalan(n) * radix**n entries is still evaluated; the pairs are read
+# from `_IMPLIES_TABLE` on every call, and nothing here is shared with
+# the recurrence or the closed forms.
 
 
-def _compile(tree: Bracketing, base: int) -> list[int]:
-    ops: list[int] = []
+def _leaf_planes(index: int, n: int, sem: Semantics) -> list[int]:
+    """Planes of variable ``index`` (1-based) over all valuations of n.
 
-    def walk(t: Bracketing) -> None:
-        if isinstance(t, Leaf):
-            ops.append(t.index - base)  # >= 0: push valuation[op]
-        else:
-            walk(t.left)
-            walk(t.right)
-            ops.append(-1)  # combine top two stack values
-
-    walk(tree)
-    return ops
-
-
-def _run(ops: list[int], valuation: Sequence[int]) -> int:
-    table = _IMPLIES_TABLE
-    stack: list[int] = []
-    push = stack.append
-    pop = stack.pop
-    for op in ops:
-        if op >= 0:
-            push(valuation[op])
-        else:
-            b = pop()
-            a = pop()
-            push(table[a][b])
-    return stack[0]
+    Variable i holds value v on runs of radix**(n-i) bits at offset
+    v * run, repeated with period radix**(n-i+1): one block times a
+    repunit with that period.
+    """
+    run = sem.radix ** (n - index)
+    period = run * sem.radix
+    repunit = ((1 << (period * sem.radix ** (index - 1))) - 1) // ((1 << period) - 1)
+    planes = [0, 0, 0]
+    for v in sem.values:
+        planes[v] = repunit * (((1 << run) - 1) << (v * run))
+    return planes
 
 
-def _value_tally(tree: Bracketing, sem: Semantics) -> list[int]:
-    """Outcome tally of one subtree over all valuations of its own leaves."""
-    ops = _compile(tree, first_leaf_index(tree))
-    n = leaf_count(tree)
-    tally = [0, 0, 0]
-    for valuation in itertools.product(sem.values, repeat=n):
-        tally[_run(ops, valuation)] += 1
-    return tally
+class _PlaneEvaluator:
+    """Bit-planes of the trees of one n, for the duration of one call.
+
+    Subtree planes are memoized by ``id()``: `_bracketings` hands out the
+    same subtree objects to every tree that contains them, and the trees
+    of `enumerate_bracketings(n)` keep them alive (so no id is reused)
+    while the evaluator lives.  Roots are evaluated through `combine`
+    and not stored, since no other tree shares them.
+    """
+
+    def __init__(self, n: int, sem: Semantics) -> None:
+        self.n = n
+        self.sem = sem
+        self.kernel = [
+            (a, b, _IMPLIES_TABLE[a][b]) for a in sem.values for b in sem.values
+        ]
+        self._memo: dict[int, list[int]] = {}
+
+    def combine(self, left: list[int], right: list[int]) -> list[int]:
+        out = [0, 0, 0]
+        for a, b, c in self.kernel:
+            out[c] |= left[a] & right[b]
+        return out
+
+    def planes(self, tree: Bracketing) -> list[int]:
+        found = self._memo.get(id(tree))
+        if found is None:
+            if isinstance(tree, Leaf):
+                found = _leaf_planes(tree.index, self.n, self.sem)
+            else:
+                found = self.combine(self.planes(tree.left), self.planes(tree.right))
+            self._memo[id(tree)] = found
+        return found
 
 
 def _check_budget(n: int, sem: Semantics, budget: int | None) -> None:
@@ -257,10 +278,17 @@ def brute_counts(n: int, sem: Semantics = KLEENE, budget: int | None = None) -> 
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     _check_budget(n, sem, budget)
+    evaluator = _PlaneEvaluator(n, sem)
     tally = [0, 0, 0]
     for tree in enumerate_bracketings(n):
-        for value, count in enumerate(_value_tally(tree, sem)):
-            tally[value] += count
+        if isinstance(tree, Leaf):
+            root = evaluator.planes(tree)
+        else:
+            root = evaluator.combine(
+                evaluator.planes(tree.left), evaluator.planes(tree.right)
+            )
+        for value, plane in enumerate(root):
+            tally[value] += plane.bit_count()
     return CountVector(n=n, t=tally[1], f=tally[0], u=tally[2], g=sum(tally))
 
 
@@ -301,19 +329,21 @@ def color_class_counts(
     In classical semantics the four classes are exactly the convolution
     decomposition of the total count.  Left and right subtrees read
     disjoint variables, so per tree the tally of a pair class factors
-    into (left outcomes) x (right outcomes); the tallies themselves come
-    from full valuation iteration.
+    into (left outcomes) x (right outcomes).  Each entry is still
+    classified individually: the class (a, b) of a tree is the bit count
+    of ``left[a] & right[b]`` over the bit-planes of its two root
+    subtrees, which hold every valuation of the whole chain.
     """
     if n < 2:
         raise ValueError(f"color classes need a root split, so n >= 2 (got {n})")
     _check_budget(n, sem, budget)
+    evaluator = _PlaneEvaluator(n, sem)
     classes = {(a, b): 0 for a in sem.values for b in sem.values}
     for tree in enumerate_bracketings(n):
-        left = _value_tally(tree.left, sem)
-        right = _value_tally(tree.right, sem)
-        for a in sem.values:
-            for b in sem.values:
-                classes[(a, b)] += left[a] * right[b]
+        left = evaluator.planes(tree.left)
+        right = evaluator.planes(tree.right)
+        for a, b in classes:
+            classes[(a, b)] += (left[a] & right[b]).bit_count()
     return classes
 
 

@@ -4,6 +4,13 @@ from pathlib import Path
 import pytest
 
 from imptables.cli import main
+from imptables.logic import (
+    enumerate_bracketings,
+    evaluate,
+    format_formula,
+    iter_valuations,
+    semantics_from_radix,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -95,6 +102,50 @@ class TestTable:
         assert payload["formula"] == "(p1=>p2)"
         assert len(payload["rows"]) == 9
         assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == out
+
+    @pytest.mark.parametrize("semantics", [2, 3])
+    def test_streamed_output_matches_whole_renderings(
+        self, capsys, tmp_path, semantics
+    ):
+        # The expected texts are built whole, as the command built them
+        # before it streamed its rows.
+        sem = semantics_from_radix(semantics)
+        for n in range(1, 6):
+            for index, tree in enumerate(enumerate_bracketings(n)):
+                formula = format_formula(tree)
+                rows = [(v, evaluate(tree, v, sem)) for v in iter_valuations(n, sem)]
+                expected = {
+                    "plain": "\n".join(
+                        [f"{formula}  [{sem.name}]"]
+                        + [" ".join(map(str, v)) + f" | {value}" for v, value in rows]
+                    )
+                    + "\n",
+                    "csv": "\n".join(
+                        [",".join(f"p{i}" for i in range(1, n + 1)) + ",value"]
+                        + [",".join(map(str, v)) + f",{value}" for v, value in rows]
+                    )
+                    + "\n",
+                    "json": json.dumps(
+                        {
+                            "formula": formula,
+                            "n": n,
+                            "semantics": sem.name,
+                            "rows": [
+                                {"valuation": list(v), "value": value} for v, value in rows
+                            ],
+                        },
+                        indent=2,
+                        sort_keys=True,
+                    )
+                    + "\n",
+                }
+                for fmt, text in expected.items():
+                    argv = ["table", "--n", str(n), "--index", str(index),
+                            "--semantics", str(semantics), "--format", fmt]
+                    assert run(capsys, *argv) == (0, text, "")
+                    target = tmp_path / f"table.{fmt}"
+                    assert run(capsys, *argv, "--output", str(target)) == (0, "", "")
+                    assert target.read_text() == text
 
     def test_index_out_of_range(self, capsys):
         code, _, err = run(capsys, "table", "--n", "3", "--index", "2")

@@ -1,7 +1,12 @@
+import ast
+import inspect
 import itertools
 
 import pytest
 from hypothesis import given, strategies as st
+
+import imptables.logic as logic
+from imptables.cli import main
 
 from imptables.logic import (
     CLASSICAL,
@@ -211,6 +216,82 @@ class TestBruteCounts:
     def test_count_vector_rejects_bad_total(self):
         with pytest.raises(ValueError):
             CountVector(n=1, t=1, f=1, u=1, g=4)
+
+
+class TestBruteForceAgainstEvaluate:
+    """Brute force tallies exactly what `evaluate` gives, entry by entry."""
+
+    CASES = [(KLEENE, n) for n in range(1, 6)] + [(CLASSICAL, n) for n in range(1, 8)]
+
+    @pytest.mark.parametrize("sem,n", CASES)
+    def test_brute_counts_tally_evaluate(self, sem, n):
+        tally = [0, 0, 0]
+        for tree in enumerate_bracketings(n):
+            for valuation in iter_valuations(n, sem):
+                tally[evaluate(tree, valuation, sem)] += 1
+        assert brute_counts(n, sem) == CountVector(
+            n=n, t=tally[1], f=tally[0], u=tally[2], g=sum(tally)
+        )
+
+    @pytest.mark.parametrize("sem", [KLEENE, CLASSICAL])
+    def test_plane_bit_k_is_valuation_k(self, sem):
+        for n in range(1, 5):
+            evaluator = logic._PlaneEvaluator(n, sem)
+            for tree in enumerate_bracketings(n):
+                planes = evaluator.planes(tree)
+                for k, valuation in enumerate(iter_valuations(n, sem)):
+                    bits = [plane >> k & 1 for plane in planes]
+                    value = evaluate(tree, valuation, sem)
+                    assert bits == [int(v == value) for v in range(3)]
+
+    @pytest.mark.parametrize("sem,n", [case for case in CASES if case[1] >= 2])
+    def test_color_classes_classify_by_evaluate(self, sem, n):
+        classes = {(a, b): 0 for a in sem.values for b in sem.values}
+        for tree in enumerate_bracketings(n):
+            k = leaf_count(tree.left)
+            for valuation in iter_valuations(n, sem):
+                left = evaluate(tree.left, valuation[:k], sem)
+                right = evaluate(tree.right, valuation[k:], sem)
+                classes[(left, right)] += 1
+        assert color_class_counts(n, sem) == classes
+
+
+class TestBruteForceIndependence:
+    def test_patched_table_changes_brute_force_and_fails_verify(
+        self, capsys, monkeypatch
+    ):
+        # Negative control: brute force reads the implication table on
+        # every call, while the recurrence kernel was derived at import
+        # time, so one corrupted entry must surface as a verify mismatch.
+        clean = brute_counts(4, KLEENE)
+        patched = tuple(
+            tuple(1 if (a, b) == (1, 0) else value for b, value in enumerate(row))
+            for a, row in enumerate(logic._IMPLIES_TABLE)
+        )
+        monkeypatch.setattr(logic, "_IMPLIES_TABLE", patched)
+        assert brute_counts(4, KLEENE) != clean
+        code = main(["verify", "--semantics", "3", "--n", "4"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "MISMATCH" in out
+
+    def test_logic_imports_no_other_counting_path(self):
+        tree = ast.parse(inspect.getsource(logic))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add("." * node.level + (node.module or ""))
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        for name in imported:
+            for banned in ("recurrences", "series"):
+                assert banned not in name.split("."), name
+        for value in vars(logic).values():
+            module = getattr(value, "__module__", None) or getattr(value, "__name__", "")
+            assert not str(module).startswith(
+                ("imptables.recurrences", "imptables.series")
+            ), value
 
 
 class TestTreeCounts:
