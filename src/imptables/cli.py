@@ -36,13 +36,12 @@ from .logic import (
     BudgetError,
     Semantics,
     brute_counts,
-    catalan,
+    bracketing_at,
     color_class_counts,
-    enumerate_bracketings,
-    evaluate,
     format_formula,
     iter_valuations,
     semantics_from_radix,
+    truth_column,
 )
 from .monoid import run_all
 from .recurrences import counts_by_recurrence
@@ -133,37 +132,49 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _table_lines(tree: Bracketing, n: int, sem: Semantics, fmt: str) -> Iterator[str]:
-    """The table in ``fmt``, one row at a time, so no format holds the table.
+    """The table in ``fmt``: a header, one chunk per block of rows that
+    share their first ceil(n/2) digits, then a footer, so no format holds
+    the table.
 
-    The json text equals ``_dump_json`` of the payload ``{"formula",
-    "n", "rows": [{"valuation", "value"}], "semantics"}``: keys sorted
-    (``"valuation"`` before ``"value"``), two-space indent, and each
-    valuation digit on its own line.
+    The values come from the tree's `truth_column`; a row's valuation
+    text is its block's high-digit text followed by one of the low-digit
+    texts, both precomputed.  The json text equals ``_dump_json`` of the
+    payload ``{"formula", "n", "rows": [{"valuation", "value"}],
+    "semantics"}``: keys sorted (``"valuation"`` before ``"value"``),
+    two-space indent, and each valuation digit on its own line.
     """
     formula = format_formula(tree)
-    rows = (
-        (valuation, evaluate(tree, valuation, sem))
-        for valuation in iter_valuations(n, sem)
-    )
+    # Per format: row start, digit indent, digit separator, row end by
+    # value, and the separator between rows.
     if fmt == "plain":
-        yield f"{formula}  [{sem.name}]\n"
-        for valuation, value in rows:
-            yield " ".join(map(str, valuation)) + f" | {value}\n"
+        header, footer = f"{formula}  [{sem.name}]\n", ""
+        start, indent, sep, joiner = "", "", " ", ""
+        ends = [f" | {v}\n" for v in sem.values]
     elif fmt == "csv":
-        yield ",".join(f"p{i}" for i in range(1, n + 1)) + ",value\n"
-        for valuation, value in rows:
-            yield ",".join(map(str, valuation)) + f",{value}\n"
+        header, footer = ",".join(f"p{i}" for i in range(1, n + 1)) + ",value\n", ""
+        start, indent, sep, joiner = "", "", ",", ""
+        ends = [f",{v}\n" for v in sem.values]
     else:
-        yield f'{{\n  "formula": {json.dumps(formula)},\n  "n": {n},\n  "rows": [\n'
-        separator = ""
-        for valuation, value in rows:
-            digits = ",\n".join(f"        {v}" for v in valuation)
-            yield (
-                f'{separator}    {{\n      "valuation": [\n{digits}\n      ],\n'
-                f'      "value": {value}\n    }}'
-            )
-            separator = ",\n"
-        yield f'\n  ],\n  "semantics": {json.dumps(sem.name)}\n}}\n'
+        header = f'{{\n  "formula": {json.dumps(formula)},\n  "n": {n},\n  "rows": [\n'
+        footer = f'\n  ],\n  "semantics": {json.dumps(sem.name)}\n}}\n'
+        start, indent, sep, joiner = '    {\n      "valuation": [\n', "        ", ",\n", ",\n"
+        ends = [f'\n      ],\n      "value": {v}\n    }}' for v in sem.values]
+    high = (n + 1) // 2
+    highs = [
+        start + sep.join(f"{indent}{d}" for d in digits)
+        for digits in iter_valuations(high, sem)
+    ]
+    lows = [
+        "".join(f"{sep}{indent}{d}" for d in digits)
+        for digits in iter_valuations(n - high, sem)
+    ]
+    column = truth_column(tree, sem)
+    yield header
+    for block, prefix in enumerate(highs):
+        values = column[block * len(lows) : (block + 1) * len(lows)]
+        rows = joiner.join([prefix + low + ends[v] for low, v in zip(lows, values)])
+        yield (joiner if block else "") + rows
+    yield footer
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -171,13 +182,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     n = args.n
     if n < 1:
         raise CliUsageError(f"--n must be at least 1, got {n}")
-    total = catalan(n)
-    if not 0 <= args.index < total:
-        raise CliUsageError(
-            f"tree index {args.index} out of range; n={n} has {total} "
-            f"bracketings, valid indices 0..{total - 1}"
-        )
-    tree = enumerate_bracketings(n)[args.index]
+    tree = bracketing_at(n, args.index)
     with _output(args.output) as out:
         out.writelines(_table_lines(tree, n, sem, args.format))
     return 0

@@ -141,6 +141,35 @@ def _bracketings(start: int, size: int) -> tuple[Bracketing, ...]:
     return tuple(out)
 
 
+def bracketing_at(n: int, index: int) -> Bracketing:
+    """The tree ``enumerate_bracketings(n)[index]``, built without the others.
+
+    In the canonical order, root split k is a block of catalan(k) *
+    catalan(n-k) trees, left position major, so the position within the
+    block splits by divmod into the left and right subtrees' positions
+    (Catalan unranking, Knuth TAOCP 4A 7.2.1.6).  O(n^2) steps; nothing
+    is cached.
+    """
+    total = catalan(n)
+    if not 0 <= index < total:
+        raise ValueError(
+            f"tree index {index} out of range; n={n} has {total} "
+            f"bracketings, valid indices 0..{total - 1}"
+        )
+    return _unrank(1, n, index)
+
+
+def _unrank(start: int, size: int, index: int) -> Bracketing:
+    if size == 1:
+        return Leaf(start)
+    k = 1
+    while index >= (block := catalan(k) * catalan(size - k)):
+        index -= block
+        k += 1
+    left, right = divmod(index, catalan(size - k))
+    return Node(_unrank(start, k, left), _unrank(start + k, size - k, right))
+
+
 def evaluate(tree: Bracketing, valuation: Sequence[int], sem: Semantics = KLEENE) -> int:
     """Evaluate ``tree`` under ``valuation`` (position i -> value of p_{i+1})."""
     if leaf_count(tree) != len(valuation):
@@ -159,6 +188,28 @@ def _eval(tree: Bracketing, valuation: Sequence[int], base: int) -> int:
     return _IMPLIES_TABLE[_eval(tree.left, valuation, base)][
         _eval(tree.right, valuation, base)
     ]
+
+
+def truth_column(tree: Bracketing, sem: Semantics = KLEENE) -> bytes:
+    """The tree's value under every valuation of its variables, in
+    `iter_valuations` order: byte k is the value `evaluate` gives
+    valuation number k.
+
+    The left subtree's variables are the more significant digits, so a
+    node's column is, for each value ``a`` of the left column in turn,
+    the right column mapped through row ``a`` of the implication table.
+    The rows are read from `_IMPLIES_TABLE` on every call.
+    """
+    rows = [bytes(row).ljust(256, b"\0") for row in _IMPLIES_TABLE]
+    return _column(tree, sem, rows)
+
+
+def _column(tree: Bracketing, sem: Semantics, rows: list[bytes]) -> bytes:
+    if isinstance(tree, Leaf):
+        return bytes(sem.values)
+    right = _column(tree.right, sem, rows)
+    mapped = [right.translate(row) for row in rows]
+    return b"".join([mapped[a] for a in _column(tree.left, sem, rows)])
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import imptables
+import imptables.logic as logic
 from imptables.cli import main
 from imptables.logic import (
+    catalan,
     enumerate_bracketings,
     evaluate,
     format_formula,
@@ -151,6 +157,65 @@ class TestTable:
         code, _, err = run(capsys, "table", "--n", "3", "--index", "2")
         assert code == 2
         assert "valid indices 0..1" in err
+
+    @pytest.mark.parametrize("n", [1, 6, 7])
+    def test_blocks_at_the_digit_split_edges(self, capsys, n):
+        # n = 1 has no low digits; n = 6 splits evenly, n = 7 does not.
+        sem = semantics_from_radix(2)
+        for index in (0, catalan(n) - 1):
+            tree = enumerate_bracketings(n)[index]
+            formula = format_formula(tree)
+            rows = [(v, evaluate(tree, v, sem)) for v in iter_valuations(n, sem)]
+            expected = {
+                "plain": f"{formula}  [classical]\n"
+                + "".join(" ".join(map(str, v)) + f" | {value}\n" for v, value in rows),
+                "csv": ",".join(f"p{i}" for i in range(1, n + 1)) + ",value\n"
+                + "".join(",".join(map(str, v)) + f",{value}\n" for v, value in rows),
+                "json": json.dumps(
+                    {
+                        "formula": formula,
+                        "n": n,
+                        "semantics": "classical",
+                        "rows": [{"valuation": list(v), "value": value} for v, value in rows],
+                    },
+                    indent=2,
+                    sort_keys=True,
+                )
+                + "\n",
+            }
+            for fmt, text in expected.items():
+                argv = ["table", "--n", str(n), "--index", str(index),
+                        "--semantics", "2", "--format", fmt]
+                assert run(capsys, *argv) == (0, text, "")
+
+    def test_builds_only_the_requested_tree(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("table enumerated the bracketings")
+
+        monkeypatch.setattr(logic, "enumerate_bracketings", refuse)
+        monkeypatch.setattr(logic, "_bracketings", refuse)
+        code, out, _ = run(
+            capsys, "table", "--n", "13", "--index", "0", "--semantics", "2",
+            "--format", "csv",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 1 + 2**13
+        assert lines[-1] == "1,1,1,1,1,1,1,1,1,1,1,1,1,1"
+
+
+class TestModuleEntry:
+    def test_python_dash_m(self):
+        src = str(Path(imptables.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "imptables", "series", "t", "--n", "3"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "1 5 30\n")
 
 
 class TestVerify:

@@ -15,6 +15,7 @@ from imptables.logic import (
     CountVector,
     Leaf,
     Node,
+    bracketing_at,
     brute_counts,
     catalan,
     color_class_counts,
@@ -26,6 +27,7 @@ from imptables.logic import (
     leaf_count,
     semantics_from_radix,
     tree_counts,
+    truth_column,
 )
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786]
@@ -130,6 +132,28 @@ class TestBracketings:
 
         walk(tree)
         assert indices == list(range(1, len(indices) + 1))
+
+
+class TestBracketingAt:
+    def test_matches_enumeration(self):
+        for n in range(1, 10):
+            for index, tree in enumerate(enumerate_bracketings(n)):
+                assert bracketing_at(n, index) == tree
+
+    def test_out_of_range_rejected(self):
+        for n in range(1, 7):
+            for index in (-1, catalan(n), catalan(n) + 5):
+                with pytest.raises(ValueError, match="out of range"):
+                    bracketing_at(n, index)
+        with pytest.raises(ValueError):
+            bracketing_at(0, 0)
+
+    def test_builds_no_other_tree(self):
+        before = logic._bracketings.cache_info()
+        tree = bracketing_at(30, catalan(30) - 1)
+        assert logic._bracketings.cache_info() == before
+        assert leaf_count(tree) == 30
+        assert format_formula(tree).startswith("(" * 29 + "p1=>p2)")
 
 
 class TestEvaluate:
@@ -254,6 +278,30 @@ class TestBruteForceAgainstEvaluate:
                 right = evaluate(tree.right, valuation[k:], sem)
                 classes[(left, right)] += 1
         assert color_class_counts(n, sem) == classes
+
+
+class TestTruthColumn:
+    """Byte k of the column is what `evaluate` gives valuation k."""
+
+    CASES = [(KLEENE, n) for n in range(1, 7)] + [(CLASSICAL, n) for n in range(1, 9)]
+
+    @pytest.mark.parametrize("sem,n", CASES)
+    def test_matches_evaluate(self, sem, n):
+        for tree in enumerate_bracketings(n):
+            expected = bytes(evaluate(tree, v, sem) for v in iter_valuations(n, sem))
+            assert truth_column(tree, sem) == expected
+
+    def test_patched_table_changes_the_printed_table(self, capsys, monkeypatch):
+        argv = ["table", "--n", "3", "--index", "0"]
+        assert main(argv) == 0
+        clean = capsys.readouterr().out
+        patched = tuple(
+            tuple(1 if (a, b) == (1, 0) else value for b, value in enumerate(row))
+            for a, row in enumerate(logic._IMPLIES_TABLE)
+        )
+        monkeypatch.setattr(logic, "_IMPLIES_TABLE", patched)
+        assert main(argv) == 0
+        assert capsys.readouterr().out != clean
 
 
 class TestBruteForceIndependence:
