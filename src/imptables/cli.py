@@ -14,8 +14,9 @@ dumps are canonical (sorted keys, two-space indent, trailing newline),
 so parsing and re-serializing them is byte-identical.
 
 Exit codes: 0 success or verified, 1 counterexample found, 2 usage
-error (including any ValueError the library raises on the arguments),
-3 brute-force budget exceeded.
+error (including any ValueError the library raises on the arguments,
+and an --output path that cannot be opened), 3 brute-force budget
+exceeded.
 
 Defaults for --order, --seed and --budget can be overridden with the
 IMPTABLES_ORDER, IMPTABLES_SEED and IMPTABLES_BUDGET environment
@@ -43,8 +44,6 @@ from .logic import (
     semantics_from_radix,
     truth_column,
 )
-from .monoid import run_all
-from .recurrences import counts_by_recurrence
 from .series import SERIES_NAMES, closed_form, series_description
 
 DEFAULT_ORDER = 40
@@ -57,6 +56,14 @@ COUNT_SERIES = {3: {"t": 1, "f": 0, "u": 2}, 2: {"r": 1, "s": 0}}
 
 class CliUsageError(Exception):
     """Bad arguments detected after parsing; maps to exit code 2."""
+
+
+def run_all(**kwargs) -> list:
+    """`monoid.run_all`, imported when called: only the monoid subcommand
+    loads the monoid module."""
+    from .monoid import run_all
+
+    return run_all(**kwargs)
 
 
 def _env_int(name: str) -> Optional[int]:
@@ -88,9 +95,13 @@ def _dump_json(payload: object) -> str:
 def _output(destination: Optional[str]) -> Iterator[TextIO]:
     if destination is None:
         yield sys.stdout
-    else:
-        with open(destination, "w", encoding="ascii") as handle:
-            yield handle
+        return
+    try:
+        handle = open(destination, "w", encoding="ascii")
+    except OSError as exc:
+        raise CliUsageError(f"cannot open --output {destination}: {exc.strerror or exc}")
+    with handle:
+        yield handle
 
 
 def _emit(text: str, destination: Optional[str]) -> None:
@@ -192,6 +203,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _verify_rows(n_max: int, sem: Semantics, limit: int) -> list[dict]:
+    from .recurrences import counts_by_recurrence
+
     names = COUNT_SERIES[sem.radix]
     table = counts_by_recurrence(n_max, sem)
     closed = {name: closed_form(name, n_max) for name in names}

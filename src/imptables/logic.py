@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import operator
 from functools import lru_cache
-from typing import Iterator, Sequence, Union
+from typing import Any, Iterator, Sequence, Union
 
 FALSE = 0
 TRUE = 1
@@ -33,10 +33,65 @@ class BudgetError(Exception):
     """Raised when a brute-force enumeration would exceed its budget."""
 
 
-@dataclass(frozen=True)
-class Semantics:
+class _Record:
+    """Base of the library's frozen value records.
+
+    A subclass names its fields in ``__slots__``, in order.  They are set
+    once, by position or keyword; after that the record refuses
+    assignment and deletion.  It equals only records of its own class
+    with equal fields, hashes as the tuple of its fields, prints as
+    ``Name(field=value, ...)``, copies and pickles by reconstruction, and
+    matches class patterns positionally.  This is what a frozen
+    dataclass provides, without importing `dataclasses` (and `inspect`)
+    or generating code at import, which a short CLI call would pay for.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = fields = cls.__slots__
+        get = operator.attrgetter(*fields)
+        # The fields as a tuple, read in C: eq and hash run on every set or
+        # dict lookup.
+        cls._astuple = staticmethod(get if len(fields) > 1 else lambda r: (get(r),))
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        fields = self.__slots__
+        if len(args) + len(kwargs) != len(fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {fields}")
+        for field, value in zip(fields, args):
+            object.__setattr__(self, field, value)
+        for field in fields[len(args) :]:
+            if field not in kwargs:
+                raise TypeError(f"{type(self).__name__} takes the fields {fields}")
+            object.__setattr__(self, field, kwargs[field])
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._astuple(self) == other._astuple(other)
+
+    def __hash__(self) -> int:
+        return hash(self._astuple(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, field: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {field!r} of a frozen record")
+
+    def __delattr__(self, field: str) -> None:
+        raise AttributeError(f"cannot delete field {field!r} of a frozen record")
+
+    def __reduce__(self) -> tuple:
+        return (type(self), self._astuple(self))
+
+
+class Semantics(_Record):
     """A truth-value domain: classical {0,1} or three-valued {0,1,2}."""
 
+    __slots__ = ("name", "radix", "values", "brute_budget")
     name: str
     radix: int
     values: tuple[int, ...]
@@ -73,19 +128,30 @@ def implies(a: int, b: int, sem: Semantics = KLEENE) -> int:
     return _IMPLIES_TABLE[a][b]
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(_Record):
     """A variable occurrence; ``index`` is its 1-based position."""
 
+    __slots__ = ("index",)
     index: int
 
+    def __init__(self, index: int) -> None:
+        # Spelled out, like Node's: trees are built in bulk.
+        object.__setattr__(self, "index", index)
 
-@dataclass(frozen=True)
-class Node:
+
+class Node(_Record):
     """An implication ``left => right``."""
 
+    __slots__ = ("left", "right")
     left: "Bracketing"
     right: "Bracketing"
+
+    def __init__(self, left: "Bracketing", right: "Bracketing") -> None:
+        # Spelled out rather than `_Record.__init__`, which takes any
+        # arguments and costs nearly twice as much: `enumerate_bracketings`
+        # and `_unrank` build trees in bulk.
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
 Bracketing = Union[Leaf, Node]
@@ -212,8 +278,7 @@ def _column(tree: Bracketing, sem: Semantics, rows: list[bytes]) -> bytes:
     return b"".join([mapped[a] for a in _column(tree.left, sem, rows)])
 
 
-@dataclass(frozen=True)
-class CountVector:
+class CountVector(_Record):
     """Exact entry tallies of all truth tables at one n.
 
     ``t``/``f``/``u`` count the entries with value true/false/unknown;
@@ -221,13 +286,15 @@ class CountVector:
     the counts are conventionally called r and s).
     """
 
+    __slots__ = ("n", "t", "f", "u", "g")
     n: int
     t: int
     f: int
     u: int
     g: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
         if self.t + self.f + self.u != self.g:
             raise ValueError(
                 f"inconsistent counts at n={self.n}: "

@@ -30,11 +30,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .logic import CLASSICAL, KLEENE, Semantics, color_class_counts
+from .logic import CLASSICAL, KLEENE, Semantics, _Record, color_class_counts
 from .series import PowerSeries, closed_form
 
 GENERATORS = {"kleene": ("t", "f", "u"), "classical": ("r", "s")}
@@ -47,18 +46,19 @@ def _semantics(logic: str) -> Semantics:
     return KLEENE if logic == "kleene" else CLASSICAL
 
 
-@dataclass(frozen=True)
-class MonoidElement:
+class MonoidElement(_Record):
     """A formal product of generator powers, as an exponent vector.
 
     `exponents` lines up with GENERATORS[logic]; the all-zero vector is
     the identity element.  Multiplication adds exponents.
     """
 
+    __slots__ = ("logic", "exponents")
     logic: str
     exponents: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
         if self.logic not in GENERATORS:
             raise ValueError(f"logic must be 'kleene' or 'classical', got {self.logic!r}")
         names = GENERATORS[self.logic]
@@ -111,23 +111,35 @@ class MonoidElement:
         return "*".join(parts)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(_Record):
     """First failing coefficient of a check: index and both exact values."""
 
+    __slots__ = ("n", "lhs", "rhs", "context")
     n: int
     lhs: Union[int, Fraction]
     rhs: Union[int, Fraction]
     context: str
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
+    """One claim's verdict up to ``order``, with the first failure if any."""
+
+    __slots__ = ("claim", "detail", "order", "verified", "witness")
     claim: str
     detail: str
     order: int
     verified: bool
-    witness: Optional[Witness] = None
+    witness: Optional[Witness]
+
+    def __init__(
+        self,
+        claim: str,
+        detail: str,
+        order: int,
+        verified: bool,
+        witness: Optional[Witness] = None,
+    ) -> None:
+        super().__init__(claim, detail, order, verified, witness)
 
     def summary_line(self) -> str:
         status = "PASS" if self.verified else "FAIL"

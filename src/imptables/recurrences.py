@@ -16,13 +16,10 @@ shared ingredient is the connective itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .logic import Semantics, implies
+from .logic import CLASSICAL, KLEENE, Semantics, _Record, implies
 
 
-@dataclass(frozen=True)
-class SequenceTable:
+class SequenceTable(_Record):
     """Counts for n = 1..n_max, one tuple per tracked value.
 
     `columns` maps a truth value to the tuple of its counts; index i
@@ -30,6 +27,7 @@ class SequenceTable:
     the number of table entries radix**n times the bracketing count.
     """
 
+    __slots__ = ("semantics", "n_max", "columns", "totals")
     semantics: Semantics
     n_max: int
     columns: dict[int, tuple[int, ...]]
@@ -74,12 +72,8 @@ def counts_by_recurrence(n_max: int, sem: Semantics) -> SequenceTable:
 
 
 def kleene_by_recurrence(n_max: int) -> SequenceTable:
-    from .logic import KLEENE
-
     return counts_by_recurrence(n_max, KLEENE)
 
 
 def classical_by_recurrence(n_max: int) -> SequenceTable:
-    from .logic import CLASSICAL
-
     return counts_by_recurrence(n_max, CLASSICAL)
