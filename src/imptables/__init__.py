@@ -14,57 +14,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Bracketing",
-    "BudgetError",
-    "CLASSICAL",
-    "CLASSICAL_SERIES",
-    "ConsistencyError",
-    "CountVector",
-    "FALSE",
-    "KLEENE",
-    "KLEENE_SERIES",
-    "Leaf",
-    "MonoidElement",
-    "Node",
-    "PowerSeries",
-    "Realizer",
-    "SERIES_NAMES",
-    "Semantics",
-    "SequenceTable",
-    "TRUE",
-    "UNKNOWN",
-    "VerificationReport",
-    "Witness",
-    "brute_counts",
-    "catalan",
-    "classical_by_recurrence",
-    "closed_form",
-    "color_class_counts",
-    "counts_by_recurrence",
-    "default_sample",
-    "enumerate_bracketings",
-    "evaluate",
-    "format_formula",
-    "implies",
-    "iter_valuations",
-    "kleene_by_recurrence",
-    "leaf_count",
-    "run_all",
-    "semantics_from_radix",
-    "series_description",
-    "tree_counts",
-    "verify_associativity",
-    "verify_bound",
-    "verify_commutativity",
-    "verify_ideal_samples",
-    "verify_partitions",
-    "verify_power_identities",
-    "verify_substitution_bounds",
-    "__version__",
-]
-
-# The public names each submodule defines.
+# The public names each submodule defines; `__all__` lists them all.
 _NAMES_BY_MODULE = {
     "logic": (
         "CLASSICAL FALSE KLEENE TRUE UNKNOWN Bracketing BudgetError CountVector "
@@ -88,6 +38,8 @@ _NAMES_BY_MODULE = {
 _MODULE_OF = {
     name: module for module, names in _NAMES_BY_MODULE.items() for name in names.split()
 }
+
+__all__ = [*sorted(_MODULE_OF), "__version__"]
 
 
 def __getattr__(name: str) -> object:

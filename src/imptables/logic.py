@@ -134,10 +134,6 @@ class Leaf(_Record):
     __slots__ = ("index",)
     index: int
 
-    def __init__(self, index: int) -> None:
-        # Spelled out, like Node's: trees are built in bulk.
-        object.__setattr__(self, "index", index)
-
 
 class Node(_Record):
     """An implication ``left => right``."""

@@ -132,9 +132,6 @@ class TestSubcommandImports:
         assert code == 0
         assert out.startswith(stdout)
         assert not {"imptables.monoid", "imptables.recurrences", "dataclasses"} & modules
-        # The parser's series choices come from series.SERIES_NAMES, and
-        # importing series imports fractions.
-        assert {"imptables.series", "fractions"} <= modules
 
     def test_monoid_loads_monoid(self):
         code, out, modules = loaded_by("monoid", "--order", "4")
