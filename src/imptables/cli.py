@@ -15,8 +15,8 @@ so parsing and re-serializing them is byte-identical.
 
 Exit codes: 0 success or verified, 1 counterexample found, 2 usage
 error (including any ValueError the library raises on the arguments,
-and an --output path that cannot be opened), 3 brute-force budget
-exceeded.
+an --output path that cannot be opened, and output that cannot be
+written: a closed pipe, a full disk), 3 brute-force budget exceeded.
 
 Defaults for --order, --seed and --budget can be overridden with the
 IMPTABLES_ORDER, IMPTABLES_SEED and IMPTABLES_BUDGET environment
@@ -498,13 +498,34 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except (CliUsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        # Opening --output is checked in `_output`, so this is a failed write
+        # or flush: a closed pipe, a full disk.
+        if args.output is None:
+            _discard_stdout()
+        print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+
+
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at the null device.
+
+    The unwritten rest of stdout's buffer is flushed again at interpreter
+    exit; this lets that flush succeed instead of printing an "Exception
+    ignored" report and changing the exit status.
+    """
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 def entry() -> None:

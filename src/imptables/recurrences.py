@@ -8,13 +8,20 @@ result value depends only on the values the parts take there.  Summing
 over k gives quadratic convolution recurrences with base case n=1, where
 the single formula p1 takes each value exactly once.
 
-The recurrence kernel is derived from the implication table at import
-time rather than hard-coded, so these counts are an independent check
-against both the brute-force enumeration and the closed forms: the only
-shared ingredient is the connective itself.
+The recurrence kernel is derived from `implies` on every call rather
+than hard-coded, so these counts are an independent check against both
+the brute-force enumeration and the closed forms: the only shared
+ingredient is the connective itself.  For a result value v, the left
+values a whose rows {b : a => b = v} are equal form one group, and by
+bilinearity the group costs one convolution: the sum of its left
+columns against the sum of its row's columns.  That is 5 convolutions
+per step in three-valued semantics and 3 in classical, against 9 and 4
+for one per (a, b) pair.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .logic import CLASSICAL, KLEENE, Semantics, _Record, implies
 
@@ -42,13 +49,22 @@ class SequenceTable(_Record):
         return {v: col[n - 1] for v, col in self.columns.items()}
 
 
-def _kernel(sem: Semantics) -> dict[int, tuple[tuple[int, int], ...]]:
-    """For each result value, the (left, right) value pairs producing it."""
-    table: dict[int, list[tuple[int, int]]] = {v: [] for v in sem.values}
-    for a in sem.values:
-        for b in sem.values:
-            table[implies(a, b, sem)].append((a, b))
-    return {v: tuple(pairs) for v, pairs in table.items()}
+def _kernel(sem: Semantics) -> dict[int, tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]]:
+    """For each result value v, its (left values, right values) groups.
+
+    Left values a with the same row {b : a => b = v} form one group, and
+    that row is the group's right values; together the groups cover every
+    (a, b) pair producing v exactly once.
+    """
+    kernel = {}
+    for v in sem.values:
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for a in sem.values:
+            row = tuple(b for b in sem.values if implies(a, b, sem) == v)
+            if row:
+                groups.setdefault(row, []).append(a)
+        kernel[v] = tuple((tuple(lefts), row) for row, lefts in groups.items())
+    return kernel
 
 
 def counts_by_recurrence(n_max: int, sem: Semantics) -> SequenceTable:
@@ -56,17 +72,28 @@ def counts_by_recurrence(n_max: int, sem: Semantics) -> SequenceTable:
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     kernel = _kernel(sem)
-    counts: dict[int, list[int]] = {v: [1] for v in sem.values}
-    for n in range(2, n_max + 1):
-        for v in sem.values:
-            total = 0
-            for a, b in kernel[v]:
-                left, right = counts[a], counts[b]
-                total += sum(left[k - 1] * right[n - k - 1] for k in range(1, n))
-            counts[v].append(total)
-        # grow all columns in lockstep so the inner sums above see
-        # completed rows only
-    columns = {v: tuple(col) for v, col in counts.items()}
+    # One running column per set of values that a group sums over: the
+    # counts of a single value, or the entrywise sum of several.
+    sums: dict[tuple[int, ...], list[int]] = {(v,): [1] for v in sem.values}
+
+    def running(values: tuple[int, ...]) -> list[int]:
+        # At n = 1 each value is taken once, so a sum over k values starts at k.
+        return sums.setdefault(values, [len(values)])
+
+    terms = [
+        (v, [(running(lefts), running(rights)) for lefts, rights in groups])
+        for v, groups in kernel.items()
+    ]
+    for _ in range(2, n_max + 1):
+        counts = {
+            v: sum(sum(map(mul, left, reversed(right))) for left, right in pairs)
+            for v, pairs in terms
+        }
+        # extend every column only once the whole row is known, so each
+        # convolution above sees lists of equal length
+        for values, col in sums.items():
+            col.append(sum(counts[v] for v in values))
+    columns = {v: tuple(sums[(v,)]) for v in sem.values}
     totals = tuple(sum(col[i] for col in columns.values()) for i in range(n_max))
     return SequenceTable(semantics=sem, n_max=n_max, columns=columns, totals=totals)
 

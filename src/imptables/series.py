@@ -166,14 +166,19 @@ class PowerSeries:
         Needs a constant term that is the square of a nonzero rational;
         y's constant term is the nonnegative root, and for n >= 1
 
-            y_n = (a_n - sum_{k=1}^{n-1} y_k y_{n-k}) / (2 y_0).
+            y_n = (a_n - 2 sum_{1<=k<n/2} y_k y_{n-k} - [n even] y_{n/2}^2) / (2 y_0),
+
+        the inner sum of y*y with each symmetric pair of products formed once.
         """
         a = self.coeffs
         y0 = _exact(_rational_sqrt(a[0]))
         ys = [y0]
         for n in range(1, self.order + 1):
-            acc = a[n] - sum(map(mul, ys[1:n], ys[n - 1 : 0 : -1]))
-            ys.append(_exact(Fraction(acc, 2 * y0)))
+            half = (n + 1) // 2
+            acc = 2 * sum(map(mul, ys[1:half], ys[n - 1 : n - half : -1]))
+            if n % 2 == 0:
+                acc += ys[half] * ys[half]
+            ys.append(_exact(Fraction(a[n] - acc, 2 * y0)))
         return PowerSeries(ys)
 
     def integer_coefficients(self) -> tuple[int, ...]:

@@ -308,9 +308,10 @@ class TestBruteForceIndependence:
     def test_patched_table_changes_brute_force_and_fails_verify(
         self, capsys, monkeypatch
     ):
-        # Negative control: brute force reads the implication table on
-        # every call, while the recurrence kernel was derived at import
-        # time, so one corrupted entry must surface as a verify mismatch.
+        # Negative control: brute force and the recurrence read the
+        # implication table on every call, while the closed forms encode
+        # implication itself, so one corrupted entry must surface as a
+        # verify mismatch.
         clean = brute_counts(4, KLEENE)
         patched = tuple(
             tuple(1 if (a, b) == (1, 0) else value for b, value in enumerate(row))

@@ -1,5 +1,12 @@
+import ast
+import inspect
+import itertools
+import random
+
 import pytest
 
+import imptables.logic as logic
+import imptables.recurrences as recurrences
 from imptables.logic import CLASSICAL, KLEENE, brute_counts, catalan
 from imptables.recurrences import (
     classical_by_recurrence,
@@ -138,3 +145,77 @@ class TestInterface:
     def test_invalid_n_max(self):
         with pytest.raises(ValueError):
             counts_by_recurrence(0, KLEENE)
+
+
+def patched_table(outcomes):
+    """`_IMPLIES_TABLE` with the given outcomes for the listed (a, b) pairs."""
+    return tuple(
+        tuple(outcomes.get((a, b), value) for b, value in enumerate(row))
+        for a, row in enumerate(logic._IMPLIES_TABLE)
+    )
+
+
+def brute_row(n, sem):
+    counts = brute_counts(n, sem)
+    row = {0: counts.f, 1: counts.t, 2: counts.u}
+    return {v: row[v] for v in sem.values}
+
+
+class TestEveryConnective:
+    """The grouped kernel against brute force for other connectives.
+
+    Both paths read `_IMPLIES_TABLE` on every call, so patching it turns
+    them into counters for another binary connective.  Nothing in the
+    grouping may depend on which table implication happens to be.
+    """
+
+    CLASSICAL_PAIRS = [(a, b) for a in (0, 1) for b in (0, 1)]
+    KLEENE_PAIRS = [(a, b) for a in (0, 1, 2) for b in (0, 1, 2)]
+
+    @pytest.mark.parametrize(
+        "outcomes", list(itertools.product((0, 1), repeat=4)), ids=str
+    )
+    def test_all_classical_tables(self, monkeypatch, outcomes):
+        # Only the classical entries change; those involving 2 stay.
+        table = patched_table(dict(zip(self.CLASSICAL_PAIRS, outcomes)))
+        monkeypatch.setattr(logic, "_IMPLIES_TABLE", table)
+        counts = counts_by_recurrence(7, CLASSICAL)
+        for n in range(1, 8):
+            assert counts.row(n) == brute_row(n, CLASSICAL), (outcomes, n)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_sampled_three_valued_tables(self, monkeypatch, seed):
+        outcomes = random.Random(seed).choices((0, 1, 2), k=9)
+        table = patched_table(dict(zip(self.KLEENE_PAIRS, outcomes)))
+        monkeypatch.setattr(logic, "_IMPLIES_TABLE", table)
+        counts = counts_by_recurrence(5, KLEENE)
+        for n in range(1, 6):
+            assert counts.row(n) == brute_row(n, KLEENE), (outcomes, n)
+
+
+class TestIndependence:
+    def test_recurrences_imports_no_other_counting_path(self):
+        tree = ast.parse(inspect.getsource(recurrences))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add("." * node.level + (node.module or ""))
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        assert ".logic" in imported
+        for name in imported:
+            for banned in ("series", "monoid", "cli"):
+                assert banned not in name.split("."), name
+        for value in vars(recurrences).values():
+            module = getattr(value, "__module__", None) or getattr(value, "__name__", "")
+            assert not str(module).startswith(
+                ("imptables.series", "imptables.monoid", "imptables.cli")
+            ), value
+
+    def test_kernel_read_on_every_call(self, monkeypatch):
+        # Negative control: a kernel snapshotted at import would not see
+        # the patched entry.
+        clean = counts_by_recurrence(4, KLEENE)
+        monkeypatch.setattr(logic, "_IMPLIES_TABLE", patched_table({(1, 0): 1}))
+        assert counts_by_recurrence(4, KLEENE) != clean
