@@ -13,10 +13,17 @@ Formats: plain (default), csv, json, bfile where meaningful.  The json
 dumps are canonical (sorted keys, two-space indent, trailing newline),
 so parsing and re-serializing them is byte-identical.
 
+Each subcommand returns its exit code and the text to write; `main` is
+the only code that opens the destination and writes to it.  It opens
+--output before the subcommand runs, so a path that cannot be opened
+fails at once, and a usage error found after that leaves the file
+empty, as a shell redirection does.
+
 Exit codes: 0 success or verified, 1 counterexample found, 2 usage
 error (including any ValueError the library raises on the arguments,
 an --output path that cannot be opened, and output that cannot be
-written: a closed pipe, a full disk), 3 brute-force budget exceeded.
+written: a closed pipe, a full disk), 3 budget exceeded (brute force
+beyond its budget, or a table of more than TABLE_ROW_LIMIT rows).
 
 Defaults for --order, --seed and --budget can be overridden with the
 IMPTABLES_ORDER, IMPTABLES_SEED and IMPTABLES_BUDGET environment
@@ -30,19 +37,11 @@ import contextlib
 import json
 import os
 import sys
-from typing import Iterator, Optional, Sequence, TextIO
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .logic import (
-    Bracketing,
-    BudgetError,
-    Semantics,
-    brute_counts,
-    bracketing_at,
-    color_class_counts,
-    format_formula,
-    iter_valuations,
-    semantics_from_radix,
-    truth_column,
+    Bracketing, BudgetError, Semantics, brute_counts, bracketing_at, color_class_counts,
+    format_formula, iter_valuations, semantics_from_radix, truth_column,
 )
 from .series import SERIES_NAMES, closed_form, series_description
 
@@ -50,8 +49,15 @@ DEFAULT_ORDER = 40
 DEFAULT_K_MAX = 6
 DEFAULT_SEED = 0
 
+# `table` refuses a table of more rows than this, before building its
+# value column (a byte per row): Kleene n <= 12 and classical n <= 20.
+TABLE_ROW_LIMIT = 2**20
+
 # The count series of each truth value, by radix, in display order.
 COUNT_SERIES = {3: {"t": 1, "f": 0, "u": 2}, 2: {"r": 1, "s": 0}}
+
+# A subcommand's exit code and the chunks of text it writes.
+Result = tuple[int, Iterable[str]]
 
 
 class CliUsageError(Exception):
@@ -66,77 +72,58 @@ def run_all(**kwargs) -> list:
     return run_all(**kwargs)
 
 
-def _env_int(name: str) -> Optional[int]:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise CliUsageError(f"environment variable {name} must be an integer, got {raw!r}")
-
-
 def _resolve(
     flag_value: Optional[int], env_name: str, fallback: Optional[int]
 ) -> Optional[int]:
+    """The flag if given, else the environment variable if set, else ``fallback``."""
     if flag_value is not None:
         return flag_value
-    env_value = _env_int(env_name)
-    if env_value is not None:
-        return env_value
-    return fallback
+    raw = os.environ.get(env_name, "")
+    if raw == "":
+        return fallback
+    try:
+        return int(raw)
+    except ValueError:
+        raise CliUsageError(f"environment variable {env_name} must be an integer, got {raw!r}")
+
+
+def _at_least(flag: str, value: int, floor: int, why: str = "") -> int:
+    if value < floor:
+        raise CliUsageError(f"{flag} must be at least {floor}{why}, got {value}")
+    return value
 
 
 def _dump_json(payload: object) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-@contextlib.contextmanager
-def _output(destination: Optional[str]) -> Iterator[TextIO]:
-    if destination is None:
-        yield sys.stdout
-        return
-    try:
-        handle = open(destination, "w", encoding="ascii")
-    except OSError as exc:
-        raise CliUsageError(f"cannot open --output {destination}: {exc.strerror or exc}")
-    with handle:
-        yield handle
-
-
-def _emit(text: str, destination: Optional[str]) -> None:
-    with _output(destination) as out:
-        out.write(text)
+def _render(fmt: str, payload: object, lines: list[str]) -> list[str]:
+    """A whole result as chunks: the canonical json of ``payload``, or the
+    ``lines`` of the plain, csv or bfile format, each newline-terminated."""
+    if fmt == "json":
+        return [_dump_json(payload)]
+    return ["\n".join(lines) + "\n"]
 
 
 # --- series ------------------------------------------------------------------
 
 
-def _cmd_series(args: argparse.Namespace) -> int:
-    n_max = args.n
-    if n_max < 1:
-        raise CliUsageError(f"--n must be at least 1, got {n_max}")
+def _cmd_series(args: argparse.Namespace) -> Result:
+    n_max = _at_least("--n", args.n, 1)
     series = closed_form(args.name, n_max)
     values = [series.coefficient(n) for n in range(1, n_max + 1)]
+    lines = []
     if args.format == "plain":
-        text = " ".join(str(v) for v in values) + "\n"
+        lines = [" ".join(map(str, values))]
     elif args.format == "csv":
-        lines = [f"n,{args.name}"]
-        lines += [f"{n},{v}" for n, v in enumerate(values, start=1)]
-        text = "\n".join(lines) + "\n"
+        lines = [f"n,{args.name}"] + [f"{n},{v}" for n, v in enumerate(values, start=1)]
     elif args.format == "bfile":
-        text = "".join(f"{n} {v}\n" for n, v in enumerate(values, start=1))
-    else:
-        text = _dump_json(
-            {
-                "series": args.name,
-                "description": series_description(args.name),
-                "start": 1,
-                "coefficients": values,
-            }
-        )
-    _emit(text, args.output)
-    return 0
+        lines = [f"{n} {v}" for n, v in enumerate(values, start=1)]
+    payload = {
+        "series": args.name, "description": series_description(args.name),
+        "start": 1, "coefficients": values,
+    }
+    return 0, _render(args.format, payload, lines)
 
 
 # --- table -------------------------------------------------------------------
@@ -188,15 +175,17 @@ def _table_lines(tree: Bracketing, n: int, sem: Semantics, fmt: str) -> Iterator
     yield footer
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: argparse.Namespace) -> Result:
     sem = semantics_from_radix(args.semantics)
-    n = args.n
-    if n < 1:
-        raise CliUsageError(f"--n must be at least 1, got {n}")
-    tree = bracketing_at(n, args.index)
-    with _output(args.output) as out:
-        out.writelines(_table_lines(tree, n, sem, args.format))
-    return 0
+    n = _at_least("--n", args.n, 1)
+    # The exponent is capped so a huge --n costs no huge power.
+    if sem.radix ** min(n, TABLE_ROW_LIMIT.bit_length()) > TABLE_ROW_LIMIT:
+        raise BudgetError(
+            f"n={n} gives {sem.radix}^{n} {sem.name} table rows, over the row limit "
+            f"({TABLE_ROW_LIMIT})"
+        )
+    # The rows are computed as they are written.
+    return 0, _table_lines(bracketing_at(n, args.index), n, sem, args.format)
 
 
 # --- verify ------------------------------------------------------------------
@@ -217,60 +206,40 @@ def _verify_rows(n_max: int, sem: Semantics, limit: int) -> list[dict]:
         if n <= limit:
             counts = brute_counts(n, sem, budget=limit)
             brute_row = {name: getattr(counts, name) for name in names}
-        candidates = [recurrence, closed_row] + ([brute_row] if brute_row else [])
-        agree = all(c == candidates[0] for c in candidates)
+        agree = closed_row == recurrence and brute_row in (None, recurrence)
         rows.append(
-            {
-                "n": n,
-                "brute": brute_row,
-                "recurrence": recurrence,
-                "closed": closed_row,
-                "agree": agree,
-            }
+            {"n": n, "brute": brute_row, "recurrence": recurrence, "closed": closed_row,
+             "agree": agree}
         )
     return rows
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> Result:
     sem = semantics_from_radix(args.semantics)
-    n_max = args.n if args.n is not None else (7 if sem.radix == 3 else 9)
-    if n_max < 1:
-        raise CliUsageError(f"--n must be at least 1, got {n_max}")
-    budget = _resolve(args.budget, "IMPTABLES_BUDGET", None)
-    limit = sem.brute_budget if budget is None else budget
+    n_max = _at_least("--n", args.n if args.n is not None else (7 if sem.radix == 3 else 9), 1)
+    limit = _resolve(args.budget, "IMPTABLES_BUDGET", sem.brute_budget)
     rows = _verify_rows(n_max, sem, limit)
     all_agree = all(row["agree"] for row in rows)
     names = COUNT_SERIES[sem.radix]
-    if args.format == "plain":
-        lines = [
-            f"{sem.name} three-way agreement, n <= {n_max} (brute budget {limit})"
-        ]
-        for row in rows:
-            parts = []
-            for path in ("brute", "recurrence", "closed"):
-                values = row[path]
-                if values is None:
-                    parts.append(f"{path} skipped")
-                else:
-                    shown = " ".join(f"{k}={values[k]}" for k in names)
-                    parts.append(f"{path} {shown}")
-            verdict = "ok" if row["agree"] else "MISMATCH"
-            lines.append(f"n={row['n']}: " + " | ".join(parts) + f" -> {verdict}")
-        lines.append("all paths agree" if all_agree else "paths disagree")
-        text = "\n".join(lines) + "\n"
-    elif args.format == "csv":
-        header = "n,t,f,u,g" if sem.radix == 3 else "n,r,s,g"
-        lines = [header]
+    if args.format == "csv":
+        lines = [",".join(["n", *names, "g"])]
         for row in rows:
             values = [row["recurrence"][k] for k in names]
             lines.append(",".join(map(str, [row["n"], *values, sum(values)])))
-        text = "\n".join(lines) + "\n"
     else:
-        text = _dump_json(
-            {"semantics": sem.name, "n_max": n_max, "agree": all_agree, "rows": rows}
-        )
-    _emit(text, args.output)
-    return 0 if all_agree else 1
+        lines = [f"{sem.name} three-way agreement, n <= {n_max} (brute budget {limit})"]
+        for row in rows:
+            parts = [
+                f"{path} skipped"
+                if row[path] is None
+                else f"{path} " + " ".join(f"{k}={row[path][k]}" for k in names)
+                for path in ("brute", "recurrence", "closed")
+            ]
+            verdict = "ok" if row["agree"] else "MISMATCH"
+            lines.append(f"n={row['n']}: " + " | ".join(parts) + f" -> {verdict}")
+        lines.append("all paths agree" if all_agree else "paths disagree")
+    payload = {"semantics": sem.name, "n_max": n_max, "agree": all_agree, "rows": rows}
+    return (0 if all_agree else 1), _render(args.format, payload, lines)
 
 
 # --- monoid ------------------------------------------------------------------
@@ -281,9 +250,7 @@ def _parse_tamper(raw: Optional[str]) -> Optional[tuple[str, int, int]]:
         return None
     parts = raw.split(":")
     if len(parts) != 3:
-        raise CliUsageError(
-            f"--tamper takes NAME:INDEX:DELTA (e.g. t:3:1), got {raw!r}"
-        )
+        raise CliUsageError(f"--tamper takes NAME:INDEX:DELTA (e.g. t:3:1), got {raw!r}")
     name, index_text, delta_text = parts
     if name not in SERIES_NAMES or name == "i":
         raise CliUsageError(f"--tamper target must be a count series, got {name!r}")
@@ -296,73 +263,53 @@ def _parse_tamper(raw: Optional[str]) -> Optional[tuple[str, int, int]]:
     return (name, index, delta)
 
 
-def _witness_value(value) -> object:
-    if getattr(value, "denominator", 1) == 1:
-        return int(value)
-    return str(value)
+def _witness_json(witness) -> Optional[dict]:
+    """A witness with integral sides as ints and fractional ones as strings."""
+    if witness is None:
+        return None
+    lhs, rhs = (
+        int(v) if getattr(v, "denominator", 1) == 1 else str(v)
+        for v in (witness.lhs, witness.rhs)
+    )
+    return {"n": witness.n, "lhs": lhs, "rhs": rhs, "context": witness.context}
 
 
-def _cmd_monoid(args: argparse.Namespace) -> int:
+def _cmd_monoid(args: argparse.Namespace) -> Result:
     order = _resolve(args.order, "IMPTABLES_ORDER", DEFAULT_ORDER)
     seed = _resolve(args.seed, "IMPTABLES_SEED", DEFAULT_SEED)
-    if order < 2:
-        raise CliUsageError(f"--order must be at least 2, got {order}")
-    if args.kmax < 2:
-        raise CliUsageError(f"--kmax must be at least 2, got {args.kmax}")
+    _at_least("--order", order, 2)
+    _at_least("--kmax", args.kmax, 2)
     tamper = _parse_tamper(args.tamper)
     if tamper is not None and tamper[1] > order:
         raise CliUsageError(f"--tamper index {tamper[1]} outside orders 0..{order}")
     reports = run_all(order=order, k_max=args.kmax, seed=seed, tamper=tamper)
     all_ok = all(r.verified for r in reports)
-    if args.format == "plain":
-        lines = []
-        if tamper is not None:
-            lines.append(
-                f"tamper applied: {tamper[0]} coefficient {tamper[1]} shifted by {tamper[2]}"
-            )
-        lines += [r.summary_line() for r in reports]
-        lines.append("all claims verified" if all_ok else "counterexample found")
-        text = "\n".join(lines) + "\n"
-    else:
-        payload = {
-            "order": order,
-            "k_max": args.kmax,
-            "seed": seed,
-            "tamper": list(tamper) if tamper else None,
-            "verified": all_ok,
-            "reports": [
-                {
-                    "claim": r.claim,
-                    "detail": r.detail,
-                    "order": r.order,
-                    "verified": r.verified,
-                    "witness": (
-                        None
-                        if r.witness is None
-                        else {
-                            "n": r.witness.n,
-                            "lhs": _witness_value(r.witness.lhs),
-                            "rhs": _witness_value(r.witness.rhs),
-                            "context": r.witness.context,
-                        }
-                    ),
-                }
-                for r in reports
-            ],
-        }
-        text = _dump_json(payload)
-    _emit(text, args.output)
-    return 0 if all_ok else 1
+    lines = [r.summary_line() for r in reports]
+    if tamper is not None:
+        name, index, delta = tamper
+        lines.insert(0, f"tamper applied: {name} coefficient {index} shifted by {delta}")
+    lines.append("all claims verified" if all_ok else "counterexample found")
+    payload = {
+        "order": order,
+        "k_max": args.kmax,
+        "seed": seed,
+        "tamper": list(tamper) if tamper else None,
+        "verified": all_ok,
+        "reports": [
+            {"claim": r.claim, "detail": r.detail, "order": r.order, "verified": r.verified,
+             "witness": _witness_json(r.witness)}
+            for r in reports
+        ],
+    }
+    return (0 if all_ok else 1), _render(args.format, payload, lines)
 
 
 # --- colors ------------------------------------------------------------------
 
 
-def _cmd_colors(args: argparse.Namespace) -> int:
+def _cmd_colors(args: argparse.Namespace) -> Result:
     sem = semantics_from_radix(args.semantics)
-    n = args.n
-    if n < 2:
-        raise CliUsageError(f"--n must be at least 2 (a root split is needed), got {n}")
+    n = _at_least("--n", args.n, 2, " (a root split is needed)")
     budget = _resolve(args.budget, "IMPTABLES_BUDGET", None)
     classes = color_class_counts(n, sem, budget=budget)
     names = COUNT_SERIES[sem.radix]
@@ -374,53 +321,50 @@ def _cmd_colors(args: argparse.Namespace) -> int:
     }
     keys = sorted(classes, reverse=True)
     agree = all(classes[k] == products[k] for k in keys)
+    total = sum(classes.values())
     # Only the classical products are shown; the three-valued ones are checked.
-    convolutions = products if sem.radix == 2 else None
-    if args.format == "plain":
-        lines = [f"root-split color classes, n={n} [{sem.name}]"]
-        for a, b in keys:
-            line = f"left={a} right={b}: {classes[a, b]}"
-            if convolutions is not None:
-                line += f" (convolution {convolutions[a, b]})"
-            lines.append(line)
-        lines.append(f"total {sum(classes.values())}")
-        if convolutions is not None or not agree:
-            lines.append(
-                "classes match convolutions" if agree else "MISMATCH with convolutions"
-            )
-        text = "\n".join(lines) + "\n"
-    elif args.format == "csv":
-        header = "left,right,count" + (",convolution" if convolutions is not None else "")
-        lines = [header]
-        for key in keys:
-            row = f"{key[0]},{key[1]},{classes[key]}"
-            if convolutions is not None:
-                row += f",{convolutions[key]}"
-            lines.append(row)
-        text = "\n".join(lines) + "\n"
-    else:
-        text = _dump_json(
-            {
-                "n": n,
-                "semantics": sem.name,
-                "classes": [
-                    {
-                        "left": key[0],
-                        "right": key[1],
-                        "count": classes[key],
-                        "convolution": None if convolutions is None else convolutions[key],
-                    }
-                    for key in keys
-                ],
-                "total": sum(classes.values()),
-                "agree": agree,
-            }
+    shown = sem.radix == 2
+    plain = [f"root-split color classes, n={n} [{sem.name}]"]
+    csv = ["left,right,count" + (",convolution" if shown else "")]
+    for a, b in keys:
+        plain.append(
+            f"left={a} right={b}: {classes[a, b]}"
+            + (f" (convolution {products[a, b]})" if shown else "")
         )
-    _emit(text, args.output)
-    return 0 if agree else 1
+        csv.append(f"{a},{b},{classes[a, b]}" + (f",{products[a, b]}" if shown else ""))
+    plain.append(f"total {total}")
+    if shown or not agree:
+        plain.append("classes match convolutions" if agree else "MISMATCH with convolutions")
+    payload = {
+        "n": n,
+        "semantics": sem.name,
+        "classes": [
+            {"left": a, "right": b, "count": classes[a, b],
+             "convolution": products[a, b] if shown else None}
+            for a, b in keys
+        ],
+        "total": total,
+        "agree": agree,
+    }
+    lines = plain if args.format == "plain" else csv
+    return (0 if agree else 1), _render(args.format, payload, lines)
 
 
 # --- parser ------------------------------------------------------------------
+
+_SEMANTICS = ("--semantics", {"type": int, "choices": (2, 3), "default": 3})
+_BUDGET = ("--budget", {"type": int, "help": "largest n for brute force"})
+
+
+def _add_command(sub, name: str, help: str, handler, formats: tuple, *arguments) -> None:
+    """One subparser: the command's own ``(flag, options)`` arguments, then
+    --format with ``formats`` and --output, and its handler."""
+    parser = sub.add_parser(name, help=help)
+    for flag, options in arguments:
+        parser.add_argument(flag, **options)
+    parser.add_argument("--format", choices=formats, default="plain")
+    parser.add_argument("--output", metavar="PATH", help="write to a file instead of stdout")
+    parser.set_defaults(handler=handler)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -432,84 +376,69 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_output(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--output", metavar="PATH", help="write to a file instead of stdout")
-
-    p_series = sub.add_parser("series", help="coefficients of one count series")
-    p_series.add_argument("name", choices=SERIES_NAMES)
-    p_series.add_argument("--n", type=int, default=10, help="how many coefficients (from n=1)")
-    p_series.add_argument(
-        "--format", choices=("plain", "csv", "json", "bfile"), default="plain"
+    all_formats = ("plain", "csv", "json")
+    _add_command(
+        sub, "series", "coefficients of one count series", _cmd_series,
+        (*all_formats, "bfile"),
+        ("name", {"choices": SERIES_NAMES}),
+        ("--n", {"type": int, "default": 10, "help": "how many coefficients (from n=1)"}),
     )
-    add_output(p_series)
-    p_series.set_defaults(handler=_cmd_series)
-
-    p_table = sub.add_parser("table", help="full truth table of one bracketing")
-    p_table.add_argument("--n", type=int, required=True, help="number of variables")
-    p_table.add_argument("--index", type=int, default=0, help="bracketing index, 0-based")
-    p_table.add_argument(
-        "--semantics", type=int, choices=(2, 3), default=3, help="2 classical, 3 Kleene"
+    _add_command(
+        sub, "table", "full truth table of one bracketing", _cmd_table, all_formats,
+        ("--n", {"type": int, "required": True, "help": "number of variables"}),
+        ("--index", {"type": int, "default": 0, "help": "bracketing index, 0-based"}),
+        (_SEMANTICS[0], {**_SEMANTICS[1], "help": "2 classical, 3 Kleene"}),
     )
-    p_table.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
-    add_output(p_table)
-    p_table.set_defaults(handler=_cmd_table)
-
-    p_verify = sub.add_parser(
-        "verify", help="three-way agreement: brute force, recurrence, closed form"
+    _add_command(
+        sub, "verify", "three-way agreement: brute force, recurrence, closed form",
+        _cmd_verify, all_formats,
+        ("--n", {"type": int, "help": "largest n (default 7 or 9)"}),
+        _SEMANTICS,
+        _BUDGET,
     )
-    p_verify.add_argument("--n", type=int, default=None, help="largest n (default 7 or 9)")
-    p_verify.add_argument("--semantics", type=int, choices=(2, 3), default=3)
-    p_verify.add_argument(
-        "--budget", type=int, default=None, help="largest n for brute force"
+    _add_command(
+        sub, "monoid", "run the algebraic verification suites", _cmd_monoid,
+        ("plain", "json"),
+        ("--order", {"type": int, "help": "truncation order"}),
+        ("--kmax", {"type": int, "default": DEFAULT_K_MAX}),
+        ("--seed", {"type": int, "help": "sampling seed"}),
+        ("--tamper", {
+            "metavar": "NAME:INDEX:DELTA",
+            "help": "corrupt one coefficient first (negative control)",
+        }),
     )
-    p_verify.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
-    add_output(p_verify)
-    p_verify.set_defaults(handler=_cmd_verify)
-
-    p_monoid = sub.add_parser("monoid", help="run the algebraic verification suites")
-    p_monoid.add_argument("--order", type=int, default=None, help="truncation order")
-    p_monoid.add_argument("--kmax", type=int, default=DEFAULT_K_MAX)
-    p_monoid.add_argument("--seed", type=int, default=None, help="sampling seed")
-    p_monoid.add_argument(
-        "--tamper",
-        metavar="NAME:INDEX:DELTA",
-        default=None,
-        help="corrupt one coefficient first (negative control)",
+    _add_command(
+        sub, "colors", "root-split color class counts", _cmd_colors, all_formats,
+        ("--n", {"type": int, "default": 4}),
+        _SEMANTICS,
+        _BUDGET,
     )
-    p_monoid.add_argument("--format", choices=("plain", "json"), default="plain")
-    add_output(p_monoid)
-    p_monoid.set_defaults(handler=_cmd_monoid)
-
-    p_colors = sub.add_parser("colors", help="root-split color class counts")
-    p_colors.add_argument("--n", type=int, default=4)
-    p_colors.add_argument("--semantics", type=int, choices=(2, 3), default=3)
-    p_colors.add_argument(
-        "--budget", type=int, default=None, help="largest n for brute force"
-    )
-    p_colors.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
-    add_output(p_colors)
-    p_colors.set_defaults(handler=_cmd_colors)
-
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        code = args.handler(args)
+        if args.output is None:
+            destination = contextlib.nullcontext(sys.stdout)
+        else:
+            try:
+                destination = open(args.output, "w", encoding="ascii")
+            except OSError as exc:
+                raise CliUsageError(
+                    f"cannot open --output {args.output}: {exc.strerror or exc}"
+                )
+        with destination as out:
+            code, chunks = args.handler(args)
+            out.writelines(chunks)
         sys.stdout.flush()
         return code
-    except (CliUsageError, ValueError) as exc:
+    except (CliUsageError, ValueError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, BudgetError) else 2
     except OSError as exc:
-        # Opening --output is checked in `_output`, so this is a failed write
-        # or flush: a closed pipe, a full disk.
+        # A failed write or flush (a closed pipe, a full disk): an --output
+        # path that cannot be opened is a usage error above.
         if args.output is None:
             _discard_stdout()
         print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)

@@ -203,6 +203,33 @@ class TestTable:
         assert len(lines) == 1 + 2**13
         assert lines[-1] == "1,1,1,1,1,1,1,1,1,1,1,1,1,1"
 
+    @pytest.mark.parametrize("argv", [("--n", "20"), ("--n", "21", "--semantics", "2")])
+    def test_row_limit_checked_before_any_column(self, capsys, monkeypatch, argv):
+        # A column is a byte per row, so an unguarded Kleene n = 20 would
+        # allocate 3.5 GB; here it would reach the patched function instead.
+        def refuse(*args):
+            raise AssertionError("truth_column called past the row limit")
+
+        monkeypatch.setattr("imptables.cli.truth_column", refuse)
+        monkeypatch.setattr(logic, "truth_column", refuse)
+        code, out, err = run(capsys, "table", *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "row limit" in err
+
+    def test_row_limit_bounds(self, capsys, monkeypatch):
+        from imptables import cli
+
+        # Every table size in use (the benchmark's Kleene n = 10, the
+        # classical n = 13 above) is within the limit.
+        assert max(3**10, 2**13) <= cli.TABLE_ROW_LIMIT
+        monkeypatch.setattr(cli, "TABLE_ROW_LIMIT", 9)
+        assert run(capsys, "table", "--n", "2")[0] == 0
+        assert run(capsys, "table", "--n", "3", "--semantics", "2")[0] == 0
+        assert run(capsys, "table", "--n", "3") == (
+            3, "", "error: n=3 gives 3^3 kleene table rows, over the row limit (9)\n"
+        )
+
 
 class TestModuleEntry:
     def test_python_dash_m(self):

@@ -50,6 +50,30 @@ def test_directory_as_output(capsys, tmp_path, argv):
     assert captured.err.count("\n") == 1
 
 
+def test_opened_before_the_work(capsys, tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the series was computed before --output was opened")
+
+    monkeypatch.setattr("imptables.cli.closed_form", refuse)
+    target = tmp_path / "missing" / "x"
+    code = main(["series", "t", "--n", "5", "--output", str(target)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (
+        f"error: cannot open --output {target}: No such file or directory\n"
+    )
+
+
+def test_usage_error_after_the_open_leaves_the_file_empty(capsys, tmp_path):
+    # As `imptables table --n 3 --index 9 > x` would.
+    target = tmp_path / "x"
+    code = main(["table", "--n", "3", "--index", "9", "--output", str(target)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: tree index 9 out of range")
+    assert target.read_text() == ""
+
+
 def imptables_process(*argv, stdout, buffered):
     """Start ``python -m imptables ARGV``.
 
