@@ -27,6 +27,28 @@ def elements(logic, max_exponent=4):
     ).map(lambda exps: MonoidElement(logic, exps))
 
 
+class FixedRealizer:
+    """Stands in for a Realizer: every element and every generator power
+    realizes to one given series, so a claim's relation can be fed
+    values no real series produces."""
+
+    logic = "kleene"
+
+    def __init__(self, series, total=None):
+        self.order = series.order
+        self.series = series
+        self.total_series = total
+
+    def realize(self, element):
+        return self.series
+
+    def power(self, name, k):
+        return self.series
+
+    def total(self):
+        return self.total_series
+
+
 @pytest.fixture(scope="module")
 def kleene_realizer():
     return Realizer("kleene", 20)
@@ -196,6 +218,18 @@ class TestBound:
         assert report.witness.lhs == 60
         assert report.witness.rhs == 54
 
+    def test_fractional_coefficient_escapes_the_bound(self):
+        # A tamper shifts by an integer, so only a stand-in can show that
+        # the claim tests integrality as well as the range.
+        total = PowerSeries([1, 3, 9, 54])
+        t = MonoidElement.from_powers("kleene", t=1)
+        integral = FixedRealizer(PowerSeries([0, 1, 5, 30]), total)
+        assert verify_bound(integral, [t]).verified
+        fractional = FixedRealizer(PowerSeries([0, 1, Fraction(11, 2), 30]), total)
+        report = verify_bound(fractional, [t])
+        assert not report.verified
+        assert (report.witness.n, report.witness.lhs) == (2, Fraction(11, 2))
+
 
 class TestPowerIdentities:
     def test_holds_to_k6(self):
@@ -268,6 +302,14 @@ class TestIdealAndSubstitution:
     def test_substitution_bounds(self, kleene_realizer):
         report = verify_substitution_bounds(kleene_realizer)
         assert report.verified
+
+    def test_equality_is_allowed_only_at_zero(self):
+        # Each mixed power realizes to the same series as the pure power
+        # it is compared with: equal zeros hold, an equal nonzero breaks.
+        assert verify_substitution_bounds(FixedRealizer(PowerSeries([1, 0, 0, 0]))).verified
+        report = verify_substitution_bounds(FixedRealizer(PowerSeries([1, 0, 0, 7])))
+        assert not report.verified
+        assert (report.witness.n, report.witness.lhs, report.witness.rhs) == (3, 7, 7)
 
     def test_substitution_requires_kleene(self, classical_realizer):
         with pytest.raises(ValueError):

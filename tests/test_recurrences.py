@@ -4,10 +4,21 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import imptables.logic as logic
 import imptables.recurrences as recurrences
-from imptables.logic import CLASSICAL, KLEENE, brute_counts, catalan
+from imptables.logic import (
+    CLASSICAL,
+    KLEENE,
+    brute_counts,
+    catalan,
+    color_class_counts,
+    enumerate_bracketings,
+    tree_counts,
+    truth_column,
+)
 from imptables.recurrences import (
     classical_by_recurrence,
     counts_by_recurrence,
@@ -161,12 +172,39 @@ def brute_row(n, sem):
     return {v: row[v] for v in sem.values}
 
 
-class TestEveryConnective:
-    """The grouped kernel against brute force for other connectives.
+def check_every_path(outcomes, sem, n_max):
+    """The recurrence, `tree_counts` summed over every tree, the tallies of
+    `truth_column` (n <= 5) and `color_class_counts` against brute force
+    and the recurrence's columns, under the table patched in."""
+    counts = counts_by_recurrence(n_max, sem)
+    for n in range(1, n_max + 1):
+        brute = brute_row(n, sem)
+        assert counts.row(n) == brute, (outcomes, n)
+        trees = enumerate_bracketings(n)
+        by_tree = [dict(zip((1, 0, 2), tree_counts(tree, sem))) for tree in trees]
+        assert {v: sum(t[v] for t in by_tree) for v in sem.values} == brute, (outcomes, n)
+        if n <= 5:
+            column = b"".join(truth_column(tree, sem) for tree in trees)
+            assert {v: column.count(v) for v in sem.values} == brute, (outcomes, n)
+        if n >= 2:
+            # A root split of the n leaves into k and n - k.
+            convolutions = {
+                (a, b): sum(
+                    counts.column(a)[k - 1] * counts.column(b)[n - k - 1] for k in range(1, n)
+                )
+                for a in sem.values
+                for b in sem.values
+            }
+            assert color_class_counts(n, sem) == convolutions, (outcomes, n)
 
-    Both paths read `_IMPLIES_TABLE` on every call, so patching it turns
-    them into counters for another binary connective.  Nothing in the
-    grouping may depend on which table implication happens to be.
+
+class TestEveryConnective:
+    """Every counting path against brute force for other connectives.
+
+    Brute force, `tree_counts`, `truth_column`, `color_class_counts` and
+    the grouped recurrence kernel read `_IMPLIES_TABLE` on every call, so
+    patching it turns them into counters for another binary connective.
+    None of them may depend on which table implication happens to be.
     """
 
     CLASSICAL_PAIRS = [(a, b) for a in (0, 1) for b in (0, 1)]
@@ -182,6 +220,7 @@ class TestEveryConnective:
         counts = counts_by_recurrence(7, CLASSICAL)
         for n in range(1, 8):
             assert counts.row(n) == brute_row(n, CLASSICAL), (outcomes, n)
+        check_every_path(outcomes, CLASSICAL, 7)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_sampled_three_valued_tables(self, monkeypatch, seed):
@@ -191,6 +230,16 @@ class TestEveryConnective:
         counts = counts_by_recurrence(5, KLEENE)
         for n in range(1, 6):
             assert counts.row(n) == brute_row(n, KLEENE), (outcomes, n)
+        check_every_path(outcomes, KLEENE, 5)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.tuples(*[st.sampled_from((0, 1, 2))] * 9))
+    def test_drawn_three_valued_tables(self, outcomes):
+        # Any of the 3^9 tables; monkeypatch's fixture would outlive one draw.
+        table = patched_table(dict(zip(self.KLEENE_PAIRS, outcomes)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(logic, "_IMPLIES_TABLE", table)
+            check_every_path(outcomes, KLEENE, 5)
 
 
 class TestIndependence:
