@@ -1,15 +1,18 @@
 """Mutation gate: every recorded mutant must be killed by the tests named for it.
 
-Usage: python3 mutants/run.py [NAME ...]
+Usage: python3 mutants/run.py
 
 Each entry of MUTANTS replaces one exact text in one file of the package
-(or of the tests) with a broken version.  The script copies `src/`,
-`tests/` and `pyproject.toml` into a temporary directory per mutant,
-applies that one replacement, and runs the entry's tests there with
-pytest.  The gate fails when a mutant survives (its tests pass), when
-its tests cannot run (a collection error is not a kill), and when an old
-text no longer occurs exactly once, so an entry cannot rot silently when
-the code it targets changes.  With NAMEs, only those mutants run.
+(or of the tests) with a broken version.  The script first runs every
+distinct test selection once on an unmutated copy of `src/`, `tests/`
+and `pyproject.toml`; each must pass, or a failure under a mutant would
+prove nothing, and the gate fails without applying any mutant.  Then it
+copies the tree into a temporary directory per mutant, applies that one
+replacement, and runs the entry's tests there with pytest.  The gate
+fails when a mutant survives (its tests pass), when its tests cannot run
+(a collection error is not a kill), and when an old text no longer
+occurs exactly once, so an entry cannot rot silently when the code it
+targets changes.
 
 pytest does not collect this directory (pyproject.toml's testpaths).
 """
@@ -242,56 +245,73 @@ def run_all(
 ]
 
 
+def copy_tree(copy: Path) -> None:
+    """Copy the package, the tests and pyproject.toml into ``copy``."""
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, copy / name, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "pyproject.toml", copy / "pyproject.toml")
+
+
+def run_tests(copy: Path, tests: list[str]) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+        cwd=copy,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+
+
+def tail(proc: subprocess.CompletedProcess) -> str:
+    return "\n".join(proc.stdout.splitlines()[-5:] + proc.stderr.splitlines()[-5:])
+
+
 def run_mutant(name: str, path: str, old: str, new: str, tests: list[str]) -> str:
     """'killed', or why the mutant counts against the gate."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = Path(tmp)
-        shutil.copytree(ROOT / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copytree(
-            ROOT / "tests", copy / "tests", ignore=shutil.ignore_patterns("__pycache__")
-        )
-        shutil.copy(ROOT / "pyproject.toml", copy / "pyproject.toml")
+        copy_tree(copy)
         target = copy / path
         text = target.read_text()
         if text.count(old) != 1:
             return f"old text occurs {text.count(old)} times in {path}, not once"
         target.write_text(text.replace(old, new))
-        env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
-            cwd=copy,
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=600,
-        )
+        proc = run_tests(copy, tests)
     if proc.returncode == 1:
         return "killed"
     if proc.returncode == 0:
         return "SURVIVED"
-    tail = "\n".join(proc.stdout.splitlines()[-5:] + proc.stderr.splitlines()[-5:])
-    return f"tests did not run (pytest exit {proc.returncode}):\n{tail}"
+    return f"tests did not run (pytest exit {proc.returncode}):\n{tail(proc)}"
 
 
-def main(names: list[str]) -> int:
-    known = {entry[0] for entry in MUTANTS}
-    unknown = [name for name in names if name not in known]
-    if unknown:
-        print(f"unknown mutants: {unknown}", file=sys.stderr)
-        return 2
+def main() -> int:
+    selections = list(dict.fromkeys(tuple(entry[4]) for entry in MUTANTS))
+    failing = 0
+    with tempfile.TemporaryDirectory(prefix="clean-") as tmp:
+        copy = Path(tmp)
+        copy_tree(copy)
+        for tests in selections:
+            proc = run_tests(copy, list(tests))
+            if proc.returncode != 0:
+                failing += 1
+                print(f"fails on the unmutated tree: {' '.join(tests)}\n{tail(proc)}")
+    if failing:
+        print(f"{failing} of {len(selections)} test selections fail unmutated; no mutant run")
+        return 1
+    print(f"all {len(selections)} test selections pass unmutated")
     failed = 0
     for entry in MUTANTS:
-        if names and entry[0] not in names:
-            continue
         start = time.perf_counter()
         verdict = run_mutant(*entry)
         failed += verdict != "killed"
         print(f"{verdict.splitlines()[0]:<10} {time.perf_counter() - start:5.1f} s  {entry[0]}")
-        if verdict != "killed":
-            print("\n".join(verdict.splitlines()[1:]) or "", end="", flush=True)
-    print(f"{failed} of {len(names) or len(MUTANTS)} mutants not killed")
+        for line in verdict.splitlines()[1:]:
+            print(line)
+    print(f"{failed} of {len(MUTANTS)} mutants not killed")
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

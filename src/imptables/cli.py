@@ -40,8 +40,16 @@ import sys
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .logic import (
-    Bracketing, BudgetError, Semantics, brute_counts, bracketing_at, color_class_counts,
-    format_formula, iter_valuations, semantics_from_radix, truth_column,
+    Bracketing,
+    BudgetError,
+    Semantics,
+    brute_counts,
+    bracketing_at,
+    color_class_counts,
+    format_formula,
+    iter_valuations,
+    semantics_from_radix,
+    truth_column,
 )
 from .series import SERIES_NAMES, closed_form, series_description
 
@@ -120,8 +128,10 @@ def _cmd_series(args: argparse.Namespace) -> Result:
     elif args.format == "bfile":
         lines = [f"{n} {v}" for n, v in enumerate(values, start=1)]
     payload = {
-        "series": args.name, "description": series_description(args.name),
-        "start": 1, "coefficients": values,
+        "series": args.name,
+        "description": series_description(args.name),
+        "start": 1,
+        "coefficients": values,
     }
     return 0, _render(args.format, payload, lines)
 
@@ -208,15 +218,21 @@ def _verify_rows(n_max: int, sem: Semantics, limit: int) -> list[dict]:
             brute_row = {name: getattr(counts, name) for name in names}
         agree = closed_row == recurrence and brute_row in (None, recurrence)
         rows.append(
-            {"n": n, "brute": brute_row, "recurrence": recurrence, "closed": closed_row,
-             "agree": agree}
+            {
+                "n": n,
+                "brute": brute_row,
+                "recurrence": recurrence,
+                "closed": closed_row,
+                "agree": agree,
+            }
         )
     return rows
 
 
 def _cmd_verify(args: argparse.Namespace) -> Result:
     sem = semantics_from_radix(args.semantics)
-    n_max = _at_least("--n", args.n if args.n is not None else (7 if sem.radix == 3 else 9), 1)
+    n_max = args.n if args.n is not None else (7 if sem.radix == 3 else 9)
+    _at_least("--n", n_max, 1)
     limit = _resolve(args.budget, "IMPTABLES_BUDGET", sem.brute_budget)
     rows = _verify_rows(n_max, sem, limit)
     all_agree = all(row["agree"] for row in rows)
@@ -250,7 +266,9 @@ def _parse_tamper(raw: Optional[str]) -> Optional[tuple[str, int, int]]:
         return None
     parts = raw.split(":")
     if len(parts) != 3:
-        raise CliUsageError(f"--tamper takes NAME:INDEX:DELTA (e.g. t:3:1), got {raw!r}")
+        raise CliUsageError(
+            f"--tamper takes NAME:INDEX:DELTA (e.g. t:3:1), got {raw!r}"
+        )
     name, index_text, delta_text = parts
     if name not in SERIES_NAMES or name == "i":
         raise CliUsageError(f"--tamper target must be a count series, got {name!r}")
@@ -296,8 +314,13 @@ def _cmd_monoid(args: argparse.Namespace) -> Result:
         "tamper": list(tamper) if tamper else None,
         "verified": all_ok,
         "reports": [
-            {"claim": r.claim, "detail": r.detail, "order": r.order, "verified": r.verified,
-             "witness": _witness_json(r.witness)}
+            {
+                "claim": r.claim,
+                "detail": r.detail,
+                "order": r.order,
+                "verified": r.verified,
+                "witness": _witness_json(r.witness),
+            }
             for r in reports
         ],
     }
@@ -334,13 +357,19 @@ def _cmd_colors(args: argparse.Namespace) -> Result:
         csv.append(f"{a},{b},{classes[a, b]}" + (f",{products[a, b]}" if shown else ""))
     plain.append(f"total {total}")
     if shown or not agree:
-        plain.append("classes match convolutions" if agree else "MISMATCH with convolutions")
+        plain.append(
+            "classes match convolutions" if agree else "MISMATCH with convolutions"
+        )
     payload = {
         "n": n,
         "semantics": sem.name,
         "classes": [
-            {"left": a, "right": b, "count": classes[a, b],
-             "convolution": products[a, b] if shown else None}
+            {
+                "left": a,
+                "right": b,
+                "count": classes[a, b],
+                "convolution": products[a, b] if shown else None,
+            }
             for a, b in keys
         ],
         "total": total,
@@ -352,16 +381,10 @@ def _cmd_colors(args: argparse.Namespace) -> Result:
 
 # --- parser ------------------------------------------------------------------
 
-_SEMANTICS = ("--semantics", {"type": int, "choices": (2, 3), "default": 3})
-_BUDGET = ("--budget", {"type": int, "help": "largest n for brute force"})
 
-
-def _add_command(sub, name: str, help: str, handler, formats: tuple, *arguments) -> None:
-    """One subparser: the command's own ``(flag, options)`` arguments, then
-    --format with ``formats`` and --output, and its handler."""
-    parser = sub.add_parser(name, help=help)
-    for flag, options in arguments:
-        parser.add_argument(flag, **options)
+def _finish(parser: argparse.ArgumentParser, formats: tuple[str, ...], handler) -> None:
+    """After a command's own arguments: --format with ``formats``, --output,
+    and the handler."""
     parser.add_argument("--format", choices=formats, default="plain")
     parser.add_argument("--output", metavar="PATH", help="write to a file instead of stdout")
     parser.set_defaults(handler=handler)
@@ -376,43 +399,46 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    all_formats = ("plain", "csv", "json")
-    _add_command(
-        sub, "series", "coefficients of one count series", _cmd_series,
-        (*all_formats, "bfile"),
-        ("name", {"choices": SERIES_NAMES}),
-        ("--n", {"type": int, "default": 10, "help": "how many coefficients (from n=1)"}),
+    formats = ("plain", "csv", "json")
+
+    p_series = sub.add_parser("series", help="coefficients of one count series")
+    p_series.add_argument("name", choices=SERIES_NAMES)
+    p_series.add_argument("--n", type=int, default=10, help="how many coefficients (from n=1)")
+    _finish(p_series, (*formats, "bfile"), _cmd_series)
+
+    p_table = sub.add_parser("table", help="full truth table of one bracketing")
+    p_table.add_argument("--n", type=int, required=True, help="number of variables")
+    p_table.add_argument("--index", type=int, default=0, help="bracketing index, 0-based")
+    p_table.add_argument(
+        "--semantics", type=int, choices=(2, 3), default=3, help="2 classical, 3 Kleene"
     )
-    _add_command(
-        sub, "table", "full truth table of one bracketing", _cmd_table, all_formats,
-        ("--n", {"type": int, "required": True, "help": "number of variables"}),
-        ("--index", {"type": int, "default": 0, "help": "bracketing index, 0-based"}),
-        (_SEMANTICS[0], {**_SEMANTICS[1], "help": "2 classical, 3 Kleene"}),
+    _finish(p_table, formats, _cmd_table)
+
+    p_verify = sub.add_parser(
+        "verify", help="three-way agreement: brute force, recurrence, closed form"
     )
-    _add_command(
-        sub, "verify", "three-way agreement: brute force, recurrence, closed form",
-        _cmd_verify, all_formats,
-        ("--n", {"type": int, "help": "largest n (default 7 or 9)"}),
-        _SEMANTICS,
-        _BUDGET,
+    p_verify.add_argument("--n", type=int, help="largest n (default 7 or 9)")
+    p_verify.add_argument("--semantics", type=int, choices=(2, 3), default=3)
+    p_verify.add_argument("--budget", type=int, help="largest n for brute force")
+    _finish(p_verify, formats, _cmd_verify)
+
+    p_monoid = sub.add_parser("monoid", help="run the algebraic verification suites")
+    p_monoid.add_argument("--order", type=int, help="truncation order")
+    p_monoid.add_argument("--kmax", type=int, default=DEFAULT_K_MAX)
+    p_monoid.add_argument("--seed", type=int, help="sampling seed")
+    p_monoid.add_argument(
+        "--tamper",
+        metavar="NAME:INDEX:DELTA",
+        help="corrupt one coefficient first (negative control)",
     )
-    _add_command(
-        sub, "monoid", "run the algebraic verification suites", _cmd_monoid,
-        ("plain", "json"),
-        ("--order", {"type": int, "help": "truncation order"}),
-        ("--kmax", {"type": int, "default": DEFAULT_K_MAX}),
-        ("--seed", {"type": int, "help": "sampling seed"}),
-        ("--tamper", {
-            "metavar": "NAME:INDEX:DELTA",
-            "help": "corrupt one coefficient first (negative control)",
-        }),
-    )
-    _add_command(
-        sub, "colors", "root-split color class counts", _cmd_colors, all_formats,
-        ("--n", {"type": int, "default": 4}),
-        _SEMANTICS,
-        _BUDGET,
-    )
+    _finish(p_monoid, ("plain", "json"), _cmd_monoid)
+
+    p_colors = sub.add_parser("colors", help="root-split color class counts")
+    p_colors.add_argument("--n", type=int, default=4)
+    p_colors.add_argument("--semantics", type=int, choices=(2, 3), default=3)
+    p_colors.add_argument("--budget", type=int, help="largest n for brute force")
+    _finish(p_colors, formats, _cmd_colors)
+
     return parser
 
 
@@ -433,9 +459,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             out.writelines(chunks)
         sys.stdout.flush()
         return code
-    except (CliUsageError, ValueError, BudgetError) as exc:
+    except (CliUsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, BudgetError) else 2
+        return 2
+    except BudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except OSError as exc:
         # A failed write or flush (a closed pipe, a full disk): an --output
         # path that cannot be opened is a usage error above.
