@@ -67,8 +67,9 @@ def counts_by_recurrence(n_max: int, sem: Semantics) -> SequenceTable:
     (
         "import from series into logic",
         LOGIC,
-        "from typing import Any, Iterator, Sequence, Union\n",
-        "from typing import Any, Iterator, Sequence, Union\n\nfrom .series import PowerSeries\n",
+        "from typing import Any, Callable, Iterator, Sequence, Union\n",
+        "from typing import Any, Callable, Iterator, Sequence, Union\n\n"
+        "from .series import PowerSeries\n",
         ["tests/test_logic.py::TestBruteForceIndependence"],
     ),
     (
@@ -89,12 +90,19 @@ def counts_by_recurrence(n_max: int, sem: Semantics) -> SequenceTable:
         LOGIC,
         """    right = _column(tree.right, sem, rows)
     mapped = [right.translate(row) for row in rows]
-    return b"".join([mapped[a] for a in _column(tree.left, sem, rows)])
+    left = _column(tree.left, sem, rows)
 """,
         """    right = _column(tree.left, sem, rows)
     mapped = [right.translate(row) for row in rows]
-    return b"".join([mapped[a] for a in _column(tree.right, sem, rows)])
+    left = _column(tree.right, sem, rows)
 """,
+        ["tests/test_logic.py::TestTruthColumn"],
+    ),
+    (
+        "join block loop dropping its last block",
+        LOGIC,
+        "for start in range(0, len(left), _JOIN_BLOCK)",
+        "for start in range(0, len(left) - _JOIN_BLOCK, _JOIN_BLOCK)",
         ["tests/test_logic.py::TestTruthColumn"],
     ),
     (
@@ -109,6 +117,23 @@ def counts_by_recurrence(n_max: int, sem: Semantics) -> SequenceTable:
 _ROWS = [bytes(row).ljust(256, b"\\0") for row in _IMPLIES_TABLE]
 """,
         ["tests/test_logic.py::TestTruthColumn"],
+    ),
+    (
+        "every run of the builder starting at variable 1",
+        LOGIC,
+        "runs = {(start, 1): [leaf(start)] for start in range(1, n + 1)}",
+        "runs = {(start, 1): [leaf(1)] for start in range(1, n + 1)}",
+        [
+            "tests/test_logic.py::TestBracketingAt",
+            "tests/test_logic.py::TestBruteForceAgainstEvaluate",
+        ],
+    ),
+    (
+        "builder roots built with node instead of root",
+        LOGIC,
+        "                yield root(left, right)\n",
+        "                yield node(left, right)\n",
+        ["tests/test_logic.py::TestBruteForceAgainstEvaluate"],
     ),
     (
         "divmod by the left count",

@@ -14,8 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from functools import lru_cache
-from typing import Any, Iterator, Sequence, Union
+from typing import Any, Callable, Iterator, Sequence, Union
 
 FALSE = 0
 TRUE = 1
@@ -95,9 +94,10 @@ class Semantics(_Record):
     name: str
     radix: int
     values: tuple[int, ...]
-    # Default max n for brute force.  Every subtree's bit-planes over all
-    # radix**n valuations are kept for one call, about radix**n / 8 bytes
-    # per memoized plane, so the budget bounds memory.
+    # Default max n for brute force.  The bit-planes over all radix**n
+    # valuations of every bracketing of every shorter run of variables are
+    # kept for one call, about radix**n / 8 bytes per plane, so the budget
+    # bounds memory.
     brute_budget: int
 
     def __str__(self) -> str:
@@ -188,19 +188,42 @@ def enumerate_bracketings(n: int) -> tuple[Bracketing, ...]:
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    return _bracketings(1, n)
+    return tuple(_bracketings(n, Leaf, Node))
 
 
-@lru_cache(maxsize=None)
-def _bracketings(start: int, size: int) -> tuple[Bracketing, ...]:
-    if size == 1:
-        return (Leaf(start),)
-    out = []
-    for k in range(1, size):
-        for left in _bracketings(start, k):
-            for right in _bracketings(start + k, size - k):
-                out.append(Node(left, right))
-    return tuple(out)
+def _bracketings(
+    n: int,
+    leaf: Callable[[int], Any],
+    node: Callable[[Any, Any], Any],
+    root: Callable[[Any, Any], Any] | None = None,
+) -> Iterator[Any]:
+    """Every bracketing of ``p1 => ... => pn``, in canonical order.
+
+    ``leaf(i)`` stands for variable i and ``node(left, right)`` for an
+    implication.  The bracketings of each shorter run of variables are
+    built once, bottom-up, into a dict keyed by ``(start, size)`` that
+    lives only for this call, so subtrees are shared within the call and
+    nothing outlives it.  The bracketings of the whole chain are yielded
+    as ``root(left, right)`` (default ``node``), or ``leaf(1)`` when
+    n = 1, and are not kept.
+    """
+    if n == 1:
+        yield leaf(1)
+        return
+    root = root or node
+    runs = {(start, 1): [leaf(start)] for start in range(1, n + 1)}
+    for size in range(2, n):
+        for start in range(1, n - size + 2):
+            runs[start, size] = [
+                node(left, right)
+                for k in range(1, size)
+                for left in runs[start, k]
+                for right in runs[start + k, size - k]
+            ]
+    for k in range(1, n):
+        for left in runs[1, k]:
+            for right in runs[1 + k, n - k]:
+                yield root(left, right)
 
 
 def bracketing_at(n: int, index: int) -> Bracketing:
@@ -260,10 +283,17 @@ def truth_column(tree: Bracketing, sem: Semantics = KLEENE) -> bytes:
     The left subtree's variables are the more significant digits, so a
     node's column is, for each value ``a`` of the left column in turn,
     the right column mapped through row ``a`` of the implication table.
-    The rows are read from `_IMPLIES_TABLE` on every call.
+    The rows are read from `_IMPLIES_TABLE` on every call.  The pieces
+    are joined in blocks of `_JOIN_BLOCK` left values, then the blocks
+    are joined: one join holds a buffer per piece, about 80 bytes each,
+    so a left-nested tree would otherwise cost far more memory than its
+    rows.
     """
     rows = [bytes(row).ljust(256, b"\0") for row in _IMPLIES_TABLE]
     return _column(tree, sem, rows)
+
+
+_JOIN_BLOCK = 4096
 
 
 def _column(tree: Bracketing, sem: Semantics, rows: list[bytes]) -> bytes:
@@ -271,7 +301,12 @@ def _column(tree: Bracketing, sem: Semantics, rows: list[bytes]) -> bytes:
         return bytes(sem.values)
     right = _column(tree.right, sem, rows)
     mapped = [right.translate(row) for row in rows]
-    return b"".join([mapped[a] for a in _column(tree.left, sem, rows)])
+    left = _column(tree.left, sem, rows)
+    blocks = [
+        b"".join([mapped[a] for a in left[start : start + _JOIN_BLOCK]])
+        for start in range(0, len(left), _JOIN_BLOCK)
+    ]
+    return b"".join(blocks)
 
 
 class CountVector(_Record):
@@ -311,16 +346,19 @@ class CountVector(_Record):
 # --- brute-force path ------------------------------------------------------
 #
 # The reference semantics is `evaluate`; tests assert this path agrees
-# with it entry by entry.  Each subtree's truth table over all radix**n
-# valuations of the whole chain is held as bit-planes: one Python int per
+# with it entry by entry.  No tree objects are built: `_bracketings`
+# runs over bit-planes instead.  A formula's truth table over all
+# radix**n valuations of the whole chain is held as one Python int per
 # truth value, whose bit k is set when valuation number k (in
 # `iter_valuations` order) gives that value.  A node's plane for value c
 # is the OR, over the table pairs (a, b) with a => b = c, of
 # left[a] & right[b], so one big-int operation evaluates a whole column
-# of valuations (Biham's bit-slicing, FSE 1997).  Every one of the
-# catalan(n) * radix**n entries is still evaluated; the pairs are read
-# from `_IMPLIES_TABLE` on every call, and nothing here is shared with
-# the recurrence or the closed forms.
+# of valuations (Biham's bit-slicing, FSE 1997).  Each bracketing of each
+# shorter run of variables has its planes built once, bottom-up, and
+# dropped when the call ends; every one of the catalan(n) * radix**n
+# entries is still evaluated at the roots.  The pairs are read from
+# `_IMPLIES_TABLE` on every call, and nothing here is shared with the
+# recurrence or the closed forms.
 
 
 def _leaf_planes(index: int, n: int, sem: Semantics) -> list[int]:
@@ -339,39 +377,21 @@ def _leaf_planes(index: int, n: int, sem: Semantics) -> list[int]:
     return planes
 
 
-class _PlaneEvaluator:
-    """Bit-planes of the trees of one n, for the duration of one call.
-
-    Subtree planes are memoized by ``id()``: `_bracketings` hands out the
-    same subtree objects to every tree that contains them, and the trees
-    of `enumerate_bracketings(n)` keep them alive (so no id is reused)
-    while the evaluator lives.  Roots are evaluated through `combine`
-    and not stored, since no other tree shares them.
+def _plane_bracketings(
+    n: int, sem: Semantics, root: Callable[[Any, Any], Any] | None = None
+) -> Iterator[Any]:
+    """`_bracketings` of n over bit-planes, in canonical order: each
+    bracketing's planes, or ``root(left planes, right planes)``.
     """
+    kernel = [(a, b, _IMPLIES_TABLE[a][b]) for a in sem.values for b in sem.values]
 
-    def __init__(self, n: int, sem: Semantics) -> None:
-        self.n = n
-        self.sem = sem
-        self.kernel = [
-            (a, b, _IMPLIES_TABLE[a][b]) for a in sem.values for b in sem.values
-        ]
-        self._memo: dict[int, list[int]] = {}
-
-    def combine(self, left: list[int], right: list[int]) -> list[int]:
+    def combine(left: list[int], right: list[int]) -> list[int]:
         out = [0, 0, 0]
-        for a, b, c in self.kernel:
+        for a, b, c in kernel:
             out[c] |= left[a] & right[b]
         return out
 
-    def planes(self, tree: Bracketing) -> list[int]:
-        found = self._memo.get(id(tree))
-        if found is None:
-            if isinstance(tree, Leaf):
-                found = _leaf_planes(tree.index, self.n, self.sem)
-            else:
-                found = self.combine(self.planes(tree.left), self.planes(tree.right))
-            self._memo[id(tree)] = found
-        return found
+    return _bracketings(n, lambda index: _leaf_planes(index, n, sem), combine, root)
 
 
 def _check_budget(n: int, sem: Semantics, budget: int | None) -> None:
@@ -392,16 +412,9 @@ def brute_counts(n: int, sem: Semantics = KLEENE, budget: int | None = None) -> 
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     _check_budget(n, sem, budget)
-    evaluator = _PlaneEvaluator(n, sem)
     tally = [0, 0, 0]
-    for tree in enumerate_bracketings(n):
-        if isinstance(tree, Leaf):
-            root = evaluator.planes(tree)
-        else:
-            root = evaluator.combine(
-                evaluator.planes(tree.left), evaluator.planes(tree.right)
-            )
-        for value, plane in enumerate(root):
+    for planes in _plane_bracketings(n, sem):
+        for value, plane in enumerate(planes):
             tally[value] += plane.bit_count()
     return CountVector(n=n, t=tally[1], f=tally[0], u=tally[2], g=sum(tally))
 
@@ -451,11 +464,8 @@ def color_class_counts(
     if n < 2:
         raise ValueError(f"color classes need a root split, so n >= 2 (got {n})")
     _check_budget(n, sem, budget)
-    evaluator = _PlaneEvaluator(n, sem)
     classes = {(a, b): 0 for a in sem.values for b in sem.values}
-    for tree in enumerate_bracketings(n):
-        left = evaluator.planes(tree.left)
-        right = evaluator.planes(tree.right)
+    for left, right in _plane_bracketings(n, sem, root=lambda *pair: pair):
         for a, b in classes:
             classes[(a, b)] += (left[a] & right[b]).bit_count()
     return classes

@@ -18,8 +18,6 @@ from imptables.logic import (
     semantics_from_radix,
 )
 
-GOLDEN = Path(__file__).parent / "golden"
-
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -317,32 +315,6 @@ class TestMonoid:
         assert witnesses
         assert {"n", "lhs", "rhs", "context"} <= set(witnesses[0])
         assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == out
-
-    @pytest.mark.parametrize(
-        "argv, code, golden",
-        [
-            (("--order", "8"), 0, "monoid_order8.txt"),
-            (
-                ("--order", "8", "--kmax", "2", "--tamper", "t:3:1"),
-                1,
-                "monoid_order8_kmax2_tamper_t.txt",
-            ),
-            (
-                ("--order", "10", "--tamper", "s:4:-1", "--format", "json"),
-                1,
-                "monoid_order10_tamper_s.json",
-            ),
-            (
-                ("--order", "12", "--kmax", "3", "--tamper", "g:3:1", "--format", "json"),
-                1,
-                "monoid_order12_kmax3_tamper_g.json",
-            ),
-        ],
-    )
-    def test_golden_output(self, capsys, argv, code, golden):
-        got_code, out, _ = run(capsys, "monoid", *argv)
-        assert got_code == code
-        assert out == (GOLDEN / golden).read_text()
 
     def test_fractional_witness_is_a_string(self, capsys):
         code, out, _ = run(

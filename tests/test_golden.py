@@ -6,9 +6,6 @@ exit code, the stderr text and the file holding its stdout (``null`` for
 none); some set environment variables or patch one library function
 first.  The goldens were recorded once and are never regenerated by a
 test: a change to any of them is a change to the command line.
-
-The plain and tampered `monoid` runs are pinned by
-``test_cli.py::TestMonoid::test_golden_output`` and are not repeated here.
 """
 
 import json

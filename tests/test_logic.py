@@ -1,6 +1,8 @@
 import ast
+import gc
 import inspect
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -148,10 +150,12 @@ class TestBracketingAt:
         with pytest.raises(ValueError):
             bracketing_at(0, 0)
 
-    def test_builds_no_other_tree(self):
-        before = logic._bracketings.cache_info()
+    def test_builds_no_other_tree(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("bracketing_at enumerated the bracketings")
+
+        monkeypatch.setattr(logic, "_bracketings", refuse)
         tree = bracketing_at(30, catalan(30) - 1)
-        assert logic._bracketings.cache_info() == before
         assert leaf_count(tree) == 30
         assert format_formula(tree).startswith("(" * 29 + "p1=>p2)")
 
@@ -260,9 +264,9 @@ class TestBruteForceAgainstEvaluate:
     @pytest.mark.parametrize("sem", [KLEENE, CLASSICAL])
     def test_plane_bit_k_is_valuation_k(self, sem):
         for n in range(1, 5):
-            evaluator = logic._PlaneEvaluator(n, sem)
-            for tree in enumerate_bracketings(n):
-                planes = evaluator.planes(tree)
+            roots = list(logic._plane_bracketings(n, sem))
+            assert len(roots) == catalan(n)
+            for tree, planes in zip(enumerate_bracketings(n), roots):
                 for k, valuation in enumerate(iter_valuations(n, sem)):
                     bits = [plane >> k & 1 for plane in planes]
                     value = evaluate(tree, valuation, sem)
@@ -291,6 +295,33 @@ class TestTruthColumn:
             expected = bytes(evaluate(tree, v, sem) for v in iter_valuations(n, sem))
             assert truth_column(tree, sem) == expected
 
+    @pytest.mark.parametrize("sem,n", [(KLEENE, 9), (CLASSICAL, 14)])
+    def test_columns_longer_than_a_join_block(self, sem, n):
+        # The left-nested tree's root joins 3**8 or 2**13 pieces, more
+        # than one block of them.
+        assert sem.radix ** (n - 1) > logic._JOIN_BLOCK
+        for index in (catalan(n) // 2, catalan(n) - 1):
+            tree = bracketing_at(n, index)
+            expected = bytes(evaluate(tree, v, sem) for v in iter_valuations(n, sem))
+            assert truth_column(tree, sem) == expected
+
+    def test_memory_is_bounded_by_rows_not_shape(self):
+        # 2**20 rows; the left-nested tree's root joins 2**19 pieces.  One
+        # join over all of them peaked at about 45 MiB, against 2.5 MiB for
+        # the right-nested tree.  Traced in process: a child process's
+        # ru_maxrss starts from its parent's on Linux, so it hides this.
+        n = 20
+        for index in (0, catalan(n) - 1):
+            tree = bracketing_at(n, index)
+            tracemalloc.start()
+            try:
+                column = truth_column(tree, CLASSICAL)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(column) == 2**n
+            assert peak < 16 * 2**20
+
     def test_patched_table_changes_the_printed_table(self, capsys, monkeypatch):
         argv = ["table", "--n", "3", "--index", "0"]
         assert main(argv) == 0
@@ -302,6 +333,28 @@ class TestTruthColumn:
         monkeypatch.setattr(logic, "_IMPLIES_TABLE", patched)
         assert main(argv) == 0
         assert capsys.readouterr().out != clean
+
+
+class TestNothingOutlivesACall:
+    def test_no_memory_stays_traced(self):
+        # A cache that lives as long as the process would keep the trees
+        # or planes of every run of variables seen so far.
+        def work(n_brute, n_colors, n_trees):
+            brute_counts(n_brute, CLASSICAL)
+            color_class_counts(n_colors, KLEENE)
+            assert len(enumerate_bracketings(n_trees)) == catalan(n_trees)
+
+        work(3, 3, 3)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            work(9, 7, 11)
+            gc.collect()
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert after - before < 4096
 
 
 class TestBruteForceIndependence:

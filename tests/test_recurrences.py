@@ -129,6 +129,28 @@ class TestClassical:
             assert table.column(0)[n - 1] == s.coefficient(n)
 
 
+class TestBruteForceBeyondTheDefaultBudgets:
+    """Past the default budgets (Kleene 8, classical 10), with an explicit
+    ``budget=``: the defaults bound what a call may cost, not where the
+    counts stay right."""
+
+    @pytest.mark.parametrize(
+        "sem,n", [(KLEENE, 9), (KLEENE, 10), (CLASSICAL, 11), (CLASSICAL, 12)]
+    )
+    def test_brute_counts_match_the_recurrence(self, sem, n):
+        row = counts_by_recurrence(n, sem).row(n)
+        counts = brute_counts(n, sem, budget=n)
+        assert (counts.t, counts.f, counts.u) == (row[1], row[0], row.get(2, 0))
+
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_classical_color_classes_match_the_products(self, n):
+        r, s = closed_form("r", n), closed_form("s", n)
+        products = {(1, 1): r * r, (1, 0): r * s, (0, 1): s * r, (0, 0): s * s}
+        assert color_class_counts(n, CLASSICAL, budget=n) == {
+            key: series.coefficient(n) for key, series in products.items()
+        }
+
+
 class TestTotals:
     def test_totals_are_radix_scaled_catalan(self):
         for sem in (KLEENE, CLASSICAL):
