@@ -168,9 +168,36 @@ _ROWS = [bytes(row).ljust(256, b"\\0") for row in _IMPLIES_TABLE]
     (
         "asymmetric series product",
         SERIES,
-        "sum(map(mul, a[: m + 1], b[m::-1])) for m in range(n + 1)",
-        "sum(map(mul, a[:m], b[m:0:-1])) for m in range(n + 1)",
+        "sum(map(mul, a, rb[n - m :])) for m in range(n + 1)",
+        "sum(map(mul, a[:m], rb[n - m :])) for m in range(n + 1)",
         ["tests/test_monoid.py::TestCommutativityAndAssociativity"],
+    ),
+    (
+        "product memo keyed on the unordered pair",
+        MONOID,
+        "key = (a.exponents, b.exponents)",
+        "key = tuple(sorted((a.exponents, b.exponents)))",
+        [
+            "tests/test_monoid.py::TestCommutativityAndAssociativity"
+            "::test_commutativity_can_fail_through_the_memo"
+        ],
+    ),
+    (
+        "associativity using product(a, b) on both sides",
+        MONOID,
+        "(realizer.realize(a) * realizer.product(b, c)).coeffs",
+        "(realizer.product(a, b) * realizer.realize(c)).coeffs",
+        [
+            "tests/test_monoid.py::TestCommutativityAndAssociativity"
+            "::test_associativity_can_fail_through_the_memo"
+        ],
+    ),
+    (
+        "realize returning the first generator power alone",
+        MONOID,
+        "reduce(mul, powers) if powers",
+        "powers[0] if powers",
+        ["tests/test_monoid.py::TestRealizer"],
     ),
     (
         "_below_total without its integrality test",

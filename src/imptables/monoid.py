@@ -5,11 +5,15 @@ powers of t, f, u (three-valued) or r, s (classical) multiplied together,
 with the constant series 1 as identity.  Elements are represented
 symbolically as exponent vectors over the generators; `Realizer` turns a
 vector into an exact truncated series by multiplying out memoized
-generator powers.
+generator powers, and forms each ordered product of two elements once:
+commutativity compares the products in both orders, and associativity
+reuses the sampled pair's product for its left-nested side.
 
 Every checker yields its cases to one runner, `_check`, which compares
 exact rational coefficients up to a truncation order and reports the
-first failing index with both sides as a witness.
+first failing index with both sides as a witness.  A case names its
+witness context and failure detail as `str.format` templates with the
+elements they mention; only a failing case is formatted.
 A deliberate tamper hook can corrupt one coefficient of one generator so
 the pipeline's failure path can be exercised end to end.
 
@@ -31,6 +35,8 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .logic import CLASSICAL, KLEENE, Semantics, _Record, color_class_counts
@@ -154,8 +160,9 @@ class Realizer:
     """Expands monoid elements into exact truncated power series.
 
     Generator and total series come from the closed forms; integer
-    powers of each are memoized, as are fully realized elements.  The
-    optional `tamper` triple (name, index, delta) adds delta to one
+    powers of each are memoized, as are fully realized elements and
+    ordered products of two elements, for as long as the realizer lives.
+    The optional `tamper` triple (name, index, delta) adds delta to one
     coefficient of one named series, for negative-control runs.
     """
 
@@ -186,6 +193,7 @@ class Realizer:
             for name, series in self._series.items()
         }
         self._realized: dict[tuple[int, ...], PowerSeries] = {}
+        self._products: dict[tuple[tuple[int, ...], tuple[int, ...]], PowerSeries] = {}
 
     def series(self, name: str) -> PowerSeries:
         return self._series[name]
@@ -209,12 +217,26 @@ class Realizer:
         cached = self._realized.get(element.exponents)
         if cached is not None:
             return cached
-        result = PowerSeries.identity(self.order)
-        for name, e in zip(GENERATORS[self.logic], element.exponents):
-            if e:
-                result = result * self.power(name, e)
+        powers = [
+            self.power(name, e)
+            for name, e in zip(GENERATORS[self.logic], element.exponents)
+            if e
+        ]
+        result = reduce(mul, powers) if powers else PowerSeries.identity(self.order)
         self._realized[element.exponents] = result
         return result
+
+    def product(self, a: MonoidElement, b: MonoidElement) -> PowerSeries:
+        """realize(a) * realize(b), formed once per ordered pair.
+
+        The key keeps the order: commutativity compares product(a, b)
+        with product(b, a), which must be two separately formed series.
+        """
+        key = (a.exponents, b.exponents)
+        cached = self._products.get(key)
+        if cached is None:
+            cached = self._products[key] = self.realize(a) * self.realize(b)
+        return cached
 
 
 # --- sampling ----------------------------------------------------------------
@@ -261,11 +283,20 @@ def _triples(
 # --- checkers ----------------------------------------------------------------
 
 # One case of a claim: two coefficient sequences, the relation that must hold
-# between them at every index in `ns`, the witness context ("{n}" stands for
-# the failing index) and the failure detail ("{count}" for the cases run so
-# far).  Claims yield their cases lazily, so work stops at the first failure.
+# between them at every index in `ns`, the witness context and the failure
+# detail as `str.format` templates, and the fields those templates name.  The
+# context's "{n}" stands for the failing index and the detail's "{count}" for
+# the cases run so far.  Only a failing case is formatted, so a passing claim
+# never turns an element into text.  Claims yield their cases lazily, so work
+# stops at the first failure.
 Case = tuple[
-    Sequence, Sequence, Callable[[object, object], bool], Iterable[int], str, str
+    Sequence,
+    Sequence,
+    Callable[[object, object], bool],
+    Iterable[int],
+    str,
+    str,
+    dict[str, object],
 ]
 
 
@@ -291,13 +322,13 @@ def _check(
     reported when every case holds ("{count}" is the number of cases).
     """
     count = 0
-    for lhs, rhs, holds, ns, context, failed in cases:
+    for lhs, rhs, holds, ns, context, failed, fields in cases:
         count += 1
         for n in ns:
             if not holds(lhs[n], rhs[n]):
-                witness = Witness(n, lhs[n], rhs[n], context.format(n=n))
+                witness = Witness(n, lhs[n], rhs[n], context.format(n=n, **fields))
                 return VerificationReport(
-                    claim, failed.format(count=count), order, False, witness
+                    claim, failed.format(count=count, **fields), order, False, witness
                 )
     return VerificationReport(claim, passed.format(count=count), order, True)
 
@@ -309,12 +340,13 @@ def verify_commutativity(
     every_n = range(realizer.order + 1)
     cases = (
         (
-            (realizer.realize(a) * realizer.realize(b)).coeffs,
-            (realizer.realize(b) * realizer.realize(a)).coeffs,
+            realizer.product(a, b).coeffs,
+            realizer.product(b, a).coeffs,
             _equal,
             every_n,
-            f"({a})*({b}) vs ({b})*({a})",
+            "({a})*({b}) vs ({b})*({a})",
             "product order changed a result among {count} pairs",
+            {"a": a, "b": b},
         )
         for a, b in pairs
     )
@@ -330,25 +362,28 @@ def verify_associativity(
     realizer: Realizer,
     triples: Iterable[tuple[MonoidElement, MonoidElement, MonoidElement]],
 ) -> VerificationReport:
-    """(a*b)*c equals a*(b*c) on realized series, coefficientwise."""
+    """(a*b)*c equals a*(b*c) on realized series, coefficientwise.
+
+    The inner products come from `Realizer.product`, so a triple that
+    starts with a pair already checked for commutativity reuses its a*b.
+    """
     every_n = range(realizer.order + 1)
-
-    def cases() -> Iterator[Case]:
-        for a, b, c in triples:
-            ra, rb, rc = realizer.realize(a), realizer.realize(b), realizer.realize(c)
-            yield (
-                ((ra * rb) * rc).coeffs,
-                (ra * (rb * rc)).coeffs,
-                _equal,
-                every_n,
-                f"(({a})*({b}))*({c}) vs ({a})*(({b})*({c}))",
-                "association order changed a result among {count} triples",
-            )
-
+    cases = (
+        (
+            (realizer.product(a, b) * realizer.realize(c)).coeffs,
+            (realizer.realize(a) * realizer.product(b, c)).coeffs,
+            _equal,
+            every_n,
+            "(({a})*({b}))*({c}) vs ({a})*(({b})*({c}))",
+            "association order changed a result among {count} triples",
+            {"a": a, "b": b, "c": c},
+        )
+        for a, b, c in triples
+    )
     return _check(
         f"associativity[{realizer.logic}]",
         realizer.order,
-        cases(),
+        cases,
         "{count} sampled triples associate identically",
     )
 
@@ -375,8 +410,9 @@ def verify_bound(
                 total,
                 _below_total,
                 above_one,
-                f"[x^{{n}}]({e}) vs total",
-                f"a coefficient of {e} escapes [0, total) among {{count}} elements",
+                "[x^{n}]({e}) vs total",
+                "a coefficient of {e} escapes [0, total) among {count} elements",
+                {"e": e},
             )
 
     return _check(
@@ -411,6 +447,7 @@ def verify_power_identities(realizer: Realizer, k_max: int) -> VerificationRepor
                 every_n,
                 f"3u^{k} vs u^{k - 1} - x*u^{k - 2}",
                 broke,
+                {},
             )
             fk1 = power("f", k - 1)
             yield (
@@ -420,6 +457,7 @@ def verify_power_identities(realizer: Realizer, k_max: int) -> VerificationRepor
                 every_n,
                 f"f^{k} vs 2f^{k - 1}u - f^{k - 1} + x*f^{k - 2}",
                 broke,
+                {},
             )
             tk1 = power("t", k - 1)
             t_rhs = (
@@ -435,6 +473,7 @@ def verify_power_identities(realizer: Realizer, k_max: int) -> VerificationRepor
                 every_n,
                 f"t^{k} vs (2/3)t^{k - 1}g^2 - (2/3)t^{k - 1}gf + t^{k - 1}f^2 + x*t^{k - 1}",
                 broke,
+                {},
             )
 
     return _check(
@@ -462,8 +501,8 @@ def verify_partitions(realizer: Realizer, color_n_max: int = 6) -> VerificationR
         t, f, u = (realizer.series(name) for name in ("t", "f", "u"))
         g = realizer.total().coeffs
         cases = [
-            ((t + f + u).coeffs, g, _equal, every_n, "t + f + u vs g", "t + f + u missed g"),
-            ((3 * u).coeffs, g, _equal, every_n, "3u vs g", "3u missed g"),
+            ((t + f + u).coeffs, g, _equal, every_n, "t + f + u vs g", "t + f + u missed g", {}),
+            ((3 * u).coeffs, g, _equal, every_n, "3u vs g", "3u missed g", {}),
         ]
         return _check(claim, order, cases, "t + f + u = g and g = 3u coefficientwise")
 
@@ -472,7 +511,7 @@ def verify_partitions(realizer: Realizer, color_n_max: int = 6) -> VerificationR
     color_n = min(color_n_max, order)
 
     def classical_cases() -> Iterator[Case]:
-        yield (r + s).coeffs, g2, _equal, every_n, "r + s vs g2", "r + s missed g2"
+        yield (r + s).coeffs, g2, _equal, every_n, "r + s vs g2", "r + s missed g2", {}
         quadrants = {
             (1, 1): r * r,
             (1, 0): r * s,
@@ -488,6 +527,7 @@ def verify_partitions(realizer: Realizer, color_n_max: int = 6) -> VerificationR
             every_n,
             "rr + rs + sr + ss vs g2^2",
             "the four convolutions missed g2^2",
+            {},
         )
         yield (
             square,
@@ -496,6 +536,7 @@ def verify_partitions(realizer: Realizer, color_n_max: int = 6) -> VerificationR
             range(2, order + 1),
             "g2^2 vs g2",
             "g2^2 diverged from g2 at n >= 2",
+            {},
         )
         for n in range(2, color_n + 1):
             classes = color_class_counts(n, realizer.semantics)
@@ -507,6 +548,7 @@ def verify_partitions(realizer: Realizer, color_n_max: int = 6) -> VerificationR
                     (n,),
                     f"color class {key} at n={n}",
                     "brute-force color classes disagreed with the convolutions",
+                    {},
                 )
 
     return _check(
@@ -541,8 +583,9 @@ def verify_ideal_samples(
             total,
             _below_total,
             above_one,
-            f"[x^{{n}}](({p})*({a})) vs total",
+            "[x^{n}](({p})*({a})) vs total",
             "a generator multiple escaped the bound among {count} products",
+            {"p": p, "a": a},
         )
         for p in powers
         for a in elements
@@ -589,6 +632,7 @@ def verify_substitution_bounds(
             above_one,
             f"{pattern} with a={a}, k={k}",
             f"a domination pattern broke (a={a}, k={k})",
+            {},
         )
         for extra_name, partner, target, pattern in families
         for a in range(extra_cap + 1)

@@ -51,7 +51,9 @@ def _rational_sqrt(q: Scalar) -> Fraction:
 
 def _exact(c: Scalar) -> Scalar:
     """`c` as an `int` when it is integral, else as a `Fraction`."""
-    q = c if type(c) is int else Fraction(c)
+    if type(c) is int:
+        return c
+    q = Fraction(c)
     return q.numerator if q.denominator == 1 else q
 
 
@@ -149,14 +151,16 @@ class PowerSeries:
         if not isinstance(other, PowerSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        return PowerSeries(sum(map(mul, a[: m + 1], b[m::-1])) for m in range(n + 1))
+        a, rb = self.coeffs, other.coeffs[n::-1]
+        return PowerSeries(sum(map(mul, a, rb[n - m :])) for m in range(n + 1))
 
     def __pow__(self, exponent: int) -> "PowerSeries":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("series powers are defined for nonnegative integers")
-        result = PowerSeries.identity(self.order)
-        for _ in range(exponent):
+        if exponent == 0:
+            return PowerSeries.identity(self.order)
+        result = self
+        for _ in range(exponent - 1):
             result = result * self
         return result
 

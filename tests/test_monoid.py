@@ -7,6 +7,7 @@ from imptables.monoid import (
     GENERATORS,
     MonoidElement,
     Realizer,
+    Witness,
     default_sample,
     run_all,
     verify_associativity,
@@ -47,6 +48,20 @@ class FixedRealizer:
 
     def total(self):
         return self.total_series
+
+
+@pytest.fixture
+def asymmetric_product(monkeypatch):
+    """Series products that drop the a[0]*b[m] term: a*b and b*a differ
+    whenever one factor has a nonzero constant term, as the identity does."""
+
+    def product(a, b):
+        n = min(a.order, b.order)
+        return PowerSeries(
+            sum(a.coeffs[k] * b.coeffs[m - k] for k in range(1, m + 1)) for m in range(n + 1)
+        )
+
+    monkeypatch.setattr(PowerSeries, "__mul__", product)
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +128,20 @@ class TestRealizer:
     def test_realize_is_cached(self, kleene_realizer):
         e = MonoidElement.from_powers("kleene", t=1, f=1)
         assert kleene_realizer.realize(e) is kleene_realizer.realize(e)
+
+    def test_single_generator_realizes_to_its_power(self):
+        realizer = Realizer("kleene", 10)
+        t3 = MonoidElement.from_powers("kleene", t=3)
+        assert realizer.realize(t3) is realizer.power("t", 3)
+
+    def test_product_is_formed_once_per_ordered_pair(self):
+        realizer = Realizer("kleene", 10)
+        a = MonoidElement.from_powers("kleene", t=1, u=2)
+        b = MonoidElement.from_powers("kleene", f=1)
+        ab = realizer.product(a, b)
+        assert ab is realizer.product(a, b)
+        assert ab is not realizer.product(b, a)
+        assert ab == realizer.realize(a) * realizer.realize(b)
 
     def test_logic_mismatch(self, kleene_realizer):
         with pytest.raises(ValueError):
@@ -185,6 +214,24 @@ class TestCommutativityAndAssociativity:
             kleene_realizer, [(t, f, u), (u2, f, t3), (i, i, t)]
         )
         assert report.verified
+
+    def test_commutativity_can_fail_through_the_memo(self, asymmetric_product):
+        t = MonoidElement.from_powers("kleene", t=1)
+        f = MonoidElement.from_powers("kleene", f=1)
+        i = MonoidElement.identity("kleene")
+        report = verify_commutativity(Realizer("kleene", 8), [(t, f), (i, t)])
+        assert not report.verified
+        assert report.witness == Witness(1, 0, 1, "(1)*(t) vs (t)*(1)")
+        assert report.detail == "product order changed a result among 2 pairs"
+
+    def test_associativity_can_fail_through_the_memo(self, asymmetric_product):
+        t = MonoidElement.from_powers("kleene", t=1)
+        f = MonoidElement.from_powers("kleene", f=1)
+        u = MonoidElement.from_powers("kleene", u=1)
+        i = MonoidElement.identity("kleene")
+        report = verify_associativity(Realizer("kleene", 8), [(t, f, u), (t, i, i)])
+        assert not report.verified
+        assert report.witness == Witness(1, 1, 0, "((t)*(1))*(1) vs (t)*((1)*(1))")
 
     def test_classical_sampled(self, classical_realizer):
         samples = default_sample("classical", seed=3, random_count=10)
@@ -362,6 +409,28 @@ class TestRunAll:
             "verify_ideal_samples",
             "verify_substitution_bounds",
         }
+
+    def test_work_is_pinned(self, monkeypatch):
+        # Each sampled pair's product is formed once and shared with
+        # associativity, no product is by the identity, and a passing
+        # claim formats no element.  Forming every product afresh from
+        # the identity took 2,271 products and 3,678 element formats here.
+        calls = {"mul": 0, "str": 0}
+        plain_mul, plain_str = PowerSeries.__mul__, MonoidElement.__str__
+
+        def counted_mul(a, b):
+            calls["mul"] += 1
+            return plain_mul(a, b)
+
+        def counted_str(element):
+            calls["str"] += 1
+            return plain_str(element)
+
+        monkeypatch.setattr(PowerSeries, "__mul__", counted_mul)
+        monkeypatch.setattr(MonoidElement, "__str__", counted_str)
+        assert all(r.verified for r in run_all(order=8, seed=0))
+        assert calls["mul"] <= 1734
+        assert calls["str"] == 0
 
     def test_tamper_hits_only_owning_logic(self):
         reports = run_all(order=12, k_max=3, seed=0, tamper=("t", 3, 1))

@@ -151,6 +151,18 @@ class TestArithmetic:
         assert product.coeffs == tuple(fraction_product(a, b))
         assert_normal_form(product)
 
+    @pytest.mark.parametrize("long_first", [True, False])
+    def test_mul_of_unequal_orders_matches_fraction_reference(self, long_first):
+        # The hypothesis draws stay at 9 coefficients; here one factor is
+        # much longer than the other, in either position.
+        long = [Fraction((-1) ** k * (k + 1), k % 3 + 1) for k in range(21)]
+        short = [3, -2, Fraction(1, 2), 0, Fraction(-7, 3), 5]
+        a, b = (long, short) if long_first else (short, long)
+        product = PowerSeries(a) * PowerSeries(b)
+        assert product.order == 5
+        assert product.coeffs == tuple(fraction_product(a, b))
+        assert_normal_form(product)
+
     @given(series_strategy(5), series_strategy(5), series_strategy(5))
     def test_mul_distributes(self, a, b, c):
         n = min(a.order, b.order, c.order)
