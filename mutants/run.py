@@ -58,10 +58,17 @@ def counts_by_recurrence(n_max: int, sem: Semantics) -> SequenceTable:
         ["tests/test_recurrences.py"],
     ),
     (
-        "grouping keeps only the first left value of each row",
+        "grouping counting each unordered pair once whatever its orientations",
         RECURRENCES,
-        "groups.setdefault(row, []).append(a)",
-        "groups.setdefault(row, [a])",
+        "orientations[pair] = orientations.get(pair, 0) + 1",
+        "orientations[pair] = 1",
+        ["tests/test_recurrences.py::TestEveryConnective"],
+    ),
+    (
+        "square formed without the doubling",
+        RECURRENCES,
+        "acc = 2 * sum(map(mul, left[:half], left[: -half - 1 : -1]))",
+        "acc = sum(map(mul, left[:half], left[: -half - 1 : -1]))",
         ["tests/test_recurrences.py"],
     ),
     (
@@ -166,6 +173,20 @@ _ROWS = [bytes(row).ljust(256, b"\\0") for row in _IMPLIES_TABLE]
         ["tests/test_series.py::TestSqrt"],
     ),
     (
+        "_divide floors",
+        SERIES,
+        "return q if r == 0 else _exact(Fraction(c) / d)",
+        "return q",
+        ["tests/test_series.py::TestArithmetic"],
+    ),
+    (
+        "closed_form without _assert_count_series",
+        SERIES,
+        "    _assert_count_series(series, key)\n",
+        "",
+        ["tests/test_golden.py::test_golden[consistency_series_t_bent_w]"],
+    ),
+    (
         "asymmetric series product",
         SERIES,
         "sum(map(mul, a, rb[n - m :])) for m in range(n + 1)",
@@ -264,6 +285,13 @@ def run_all(
         reports.append(_verify_bound(realizer, nonidentity))
 """,
         ["tests/test_monoid.py::TestRunAll::test_calls_every_claim_through_the_module"],
+    ),
+    (
+        "brute leg dropped from agree",
+        CLI,
+        "agree = closed_row == recurrence and brute_row in (None, recurrence)",
+        "agree = closed_row == recurrence",
+        ["tests/test_cli.py::TestVerify::test_brute_force_leg_can_fail"],
     ),
     (
         "wrong json separator",

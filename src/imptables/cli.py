@@ -19,11 +19,14 @@ the only code that opens the destination and writes to it.  It opens
 fails at once, and a usage error found after that leaves the file
 empty, as a shell redirection does.
 
-Exit codes: 0 success or verified, 1 counterexample found, 2 usage
-error (including any ValueError the library raises on the arguments,
-an --output path that cannot be opened, and output that cannot be
-written: a closed pipe, a full disk), 3 budget exceeded (brute force
-beyond its budget, or a table of more than TABLE_ROW_LIMIT rows).
+Exit codes: 0 success or verified, 1 counterexample found (including
+a closed form that expands to a non-integral or negative count: one
+error line, nothing on stdout), 2 usage error (including any ValueError
+the library raises on the arguments, a negative --budget or
+IMPTABLES_BUDGET, an --output path that cannot be opened, and output
+that cannot be written: a closed pipe, a full disk), 3 budget exceeded
+(brute force beyond its budget, or a table of more than
+TABLE_ROW_LIMIT rows).
 
 Defaults for --order, --seed and --budget can be overridden with the
 IMPTABLES_ORDER, IMPTABLES_SEED and IMPTABLES_BUDGET environment
@@ -34,7 +37,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 from typing import Iterable, Iterator, Optional, Sequence
@@ -51,7 +53,7 @@ from .logic import (
     semantics_from_radix,
     truth_column,
 )
-from .series import SERIES_NAMES, closed_form, series_description
+from .series import SERIES_NAMES, ConsistencyError, closed_form, series_description
 
 DEFAULT_ORDER = 40
 DEFAULT_K_MAX = 6
@@ -101,7 +103,19 @@ def _at_least(flag: str, value: int, floor: int, why: str = "") -> int:
     return value
 
 
+def _budget(flag_value: Optional[int], fallback: Optional[int]) -> Optional[int]:
+    """The brute-force budget from --budget or IMPTABLES_BUDGET; negative
+    is a usage error."""
+    budget = _resolve(flag_value, "IMPTABLES_BUDGET", fallback)
+    source = "--budget" if flag_value is not None else "environment variable IMPTABLES_BUDGET"
+    return budget if budget is None else _at_least(source, budget, 0)
+
+
 def _dump_json(payload: object) -> str:
+    # Imported here, not at the top: only json output needs it, and every
+    # call would pay for the import.
+    import json
+
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -163,6 +177,8 @@ def _table_lines(tree: Bracketing, n: int, sem: Semantics, fmt: str) -> Iterator
         start, indent, sep, joiner = "", "", ",", ""
         ends = [f",{v}\n" for v in sem.values]
     else:
+        import json
+
         header = f'{{\n  "formula": {json.dumps(formula)},\n  "n": {n},\n  "rows": [\n'
         footer = f'\n  ],\n  "semantics": {json.dumps(sem.name)}\n}}\n'
         start, indent, sep, joiner = '    {\n      "valuation": [\n', "        ", ",\n", ",\n"
@@ -233,7 +249,7 @@ def _cmd_verify(args: argparse.Namespace) -> Result:
     sem = semantics_from_radix(args.semantics)
     n_max = args.n if args.n is not None else (7 if sem.radix == 3 else 9)
     _at_least("--n", n_max, 1)
-    limit = _resolve(args.budget, "IMPTABLES_BUDGET", sem.brute_budget)
+    limit = _budget(args.budget, sem.brute_budget)
     rows = _verify_rows(n_max, sem, limit)
     all_agree = all(row["agree"] for row in rows)
     names = COUNT_SERIES[sem.radix]
@@ -333,7 +349,7 @@ def _cmd_monoid(args: argparse.Namespace) -> Result:
 def _cmd_colors(args: argparse.Namespace) -> Result:
     sem = semantics_from_radix(args.semantics)
     n = _at_least("--n", args.n, 2, " (a root split is needed)")
-    budget = _resolve(args.budget, "IMPTABLES_BUDGET", None)
+    budget = _budget(args.budget, None)
     classes = color_class_counts(n, sem, budget=budget)
     names = COUNT_SERIES[sem.radix]
     by_value = {value: closed_form(name, n) for name, value in names.items()}
@@ -465,6 +481,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except ConsistencyError as exc:
+        # A closed form that fails its own count check is a counterexample.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         # A failed write or flush (a closed pipe, a full disk): an --output
         # path that cannot be opened is a usage error above.

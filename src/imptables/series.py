@@ -16,8 +16,10 @@ and with s2 = sqrt(1-8x), w2 = sqrt(2+2*s2+8x) the classical counts are
 
     s: (-1 - s2 + w2)/4     r: (3 - s2 - w2)/4     g2: (1 - s2)/2.
 
-Count series must expand to nonnegative integers (asserted at construction);
-the four radicals are integral too, so only the final division meets `Fraction`.
+Count series must expand to nonnegative integers (asserted at construction).
+The four radicals are integral too, and every division on the way (the square
+roots' 2*y0, the closed forms' 6, 4 and 2) is exact integer division whenever
+the quotient is whole, so building them forms no `Fraction` at all.
 """
 
 from __future__ import annotations
@@ -55,6 +57,14 @@ def _exact(c: Scalar) -> Scalar:
         return c
     q = Fraction(c)
     return q.numerator if q.denominator == 1 else q
+
+
+def _divide(c: Scalar, d: Scalar) -> Scalar:
+    """``c / d`` exactly: the `int` quotient when ``d`` divides ``c``, else
+    a `Fraction`.  A whole quotient costs one `divmod`, not the gcd that
+    normalising a `Fraction` takes; ZeroDivisionError when ``d`` is 0."""
+    q, r = divmod(c, d)
+    return q if r == 0 else _exact(Fraction(c) / d)
 
 
 class PowerSeries:
@@ -137,8 +147,9 @@ class PowerSeries:
         return NotImplemented
 
     def __truediv__(self, divisor: Scalar) -> "PowerSeries":
+        """Divide every coefficient exactly by a scalar; the order is preserved."""
         if isinstance(divisor, (int, Fraction)):
-            return self.scale(Fraction(1, 1) / Fraction(divisor))
+            return PowerSeries(_divide(c, divisor) for c in self.coeffs)
         return NotImplemented
 
     def shift(self) -> "PowerSeries":
@@ -172,7 +183,8 @@ class PowerSeries:
 
             y_n = (a_n - 2 sum_{1<=k<n/2} y_k y_{n-k} - [n even] y_{n/2}^2) / (2 y_0),
 
-        the inner sum of y*y with each symmetric pair of products formed once.
+        the inner sum of y*y with each symmetric pair of products formed once,
+        and the division exact: an `int` whenever 2 y_0 divides the numerator.
         """
         a = self.coeffs
         y0 = _exact(_rational_sqrt(a[0]))
@@ -182,7 +194,7 @@ class PowerSeries:
             acc = 2 * sum(map(mul, ys[1:half], ys[n - 1 : n - half : -1]))
             if n % 2 == 0:
                 acc += ys[half] * ys[half]
-            ys.append(_exact(Fraction(a[n] - acc, 2 * y0)))
+            ys.append(_divide(a[n] - acc, 2 * y0))
         return PowerSeries(ys)
 
     def integer_coefficients(self) -> tuple[int, ...]:

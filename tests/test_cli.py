@@ -7,9 +7,11 @@ from pathlib import Path
 import pytest
 
 import imptables
+import imptables.cli as cli
 import imptables.logic as logic
 from imptables.cli import main
 from imptables.logic import (
+    CountVector,
     catalan,
     enumerate_bracketings,
     evaluate,
@@ -275,6 +277,21 @@ class TestVerify:
         assert code == 0
         assert "n=3: brute skipped" in out
         assert "n=4: brute skipped" in out
+
+    def test_brute_force_leg_can_fail(self, capsys, monkeypatch):
+        real = cli.brute_counts
+
+        def swapped(n, sem, budget=None):
+            c = real(n, sem, budget=budget)
+            return CountVector(n=c.n, t=c.f, f=c.t, u=c.u, g=c.g)
+
+        monkeypatch.setattr(cli, "brute_counts", swapped)
+        code, out, _ = run(capsys, "verify", "--n", "3")
+        assert code == 1
+        assert "n=1: brute t=1 f=1 u=1 | " in out and out.count("-> ok") == 1
+        assert "n=2: brute t=1 f=5 u=3 | recurrence t=5 f=1 u=3 | " in out
+        assert "-> MISMATCH" in out
+        assert out.endswith("paths disagree\n")
 
 
 class TestMonoid:

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from imptables.cli import main
-from imptables.series import PowerSeries, closed_form
+from imptables.series import PowerSeries, _kleene_radicals, closed_form
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
@@ -31,7 +31,19 @@ def bent_t(name, order):
     return PowerSeries(coeffs)
 
 
-PATCHES = {"bent_t": ("imptables.cli.closed_form", bent_t)}
+def bent_w(order):
+    """`_kleene_radicals` with one coefficient of w off by one, so the
+    three-valued closed forms expand to non-integral counts."""
+    s, w = _kleene_radicals(order)
+    coeffs = list(w.coeffs)
+    coeffs[2] += 1
+    return s, PowerSeries(coeffs)
+
+
+PATCHES = {
+    "bent_t": ("imptables.cli.closed_form", bent_t),
+    "bent_w": ("imptables.series._kleene_radicals", bent_w),
+}
 
 
 @pytest.mark.parametrize("case", CASES, ids=[case["name"] for case in CASES])

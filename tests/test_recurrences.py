@@ -129,6 +129,45 @@ class TestClassical:
             assert table.column(0)[n - 1] == s.coefficient(n)
 
 
+class TestKernel:
+    """The convolutions per step: one per group of unordered pairs."""
+
+    def test_kleene_has_four_groups(self):
+        kernel = recurrences._kernel(KLEENE)
+        # t = c0*(c0+c1+c2) + c1*(c1+c2), f = c0*c1, u = c2*(c0+c1+c2)
+        assert kernel == {
+            0: ((0, (1,)),),
+            1: ((0, (0, 1, 2)), (1, (1, 2))),
+            2: ((2, (0, 1, 2)),),
+        }
+        assert sum(map(len, kernel.values())) == 4
+
+    def test_classical_has_three_groups_one_a_square(self):
+        groups = [g for gs in recurrences._kernel(CLASSICAL).values() for g in gs]
+        assert len(groups) == 3
+        assert [(left, rights) for left, rights in groups if rights == (left,)] == [(1, (1,))]
+
+    def test_a_pair_keeps_both_orientations(self, monkeypatch):
+        # Disjunction: 0 v 1 and 1 v 0 are both 1, so c0 counts twice on the right.
+        table = patched_table({(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1})
+        monkeypatch.setattr(logic, "_IMPLIES_TABLE", table)
+        assert recurrences._kernel(CLASSICAL) == {0: ((0, (0,)),), 1: ((1, (0, 0, 1)),)}
+
+
+class TestLargeN:
+    @pytest.mark.parametrize(
+        "sem, names, total",
+        [(KLEENE, {"t": 1, "f": 0, "u": 2}, "g"), (CLASSICAL, {"r": 1, "s": 0}, "g2")],
+        ids=["kleene", "classical"],
+    )
+    def test_columns_match_the_closed_forms_to_120(self, sem, names, total):
+        # Both parities of n, so both cases of a square's middle term.
+        table = counts_by_recurrence(120, sem)
+        for name, value in names.items():
+            assert table.column(value) == closed_form(name, 120).coeffs[1:], name
+        assert table.totals == closed_form(total, 120).coeffs[1:]
+
+
 class TestBruteForceBeyondTheDefaultBudgets:
     """Past the default budgets (Kleene 8, classical 10), with an explicit
     ``budget=``: the defaults bound what a call may cost, not where the

@@ -12,6 +12,7 @@ from imptables.series import (
     ConsistencyError,
     PowerSeries,
     _classical_radicals,
+    _divide,
     _kleene_radicals,
     closed_form,
     series_description,
@@ -167,6 +168,29 @@ class TestArithmetic:
     def test_mul_distributes(self, a, b, c):
         n = min(a.order, b.order, c.order)
         assert (a * (b + c)).truncate(n) == (a * b + a * c).truncate(n)
+
+    @pytest.mark.parametrize(
+        "c", [-7, -6, 0, 5, 6, 10**40 + 3, -(10**40) * 6, Fraction(-7, 3), Fraction(9, 4)]
+    )
+    @pytest.mark.parametrize("d", [-4, -2, 1, 2, 3, 6, Fraction(3, 2), Fraction(-1, 3)])
+    def test_divide_matches_fraction_reference(self, c, d):
+        expected = Fraction(c) / Fraction(d)
+        quotient = _divide(c, d)
+        assert quotient == expected
+        assert type(quotient) is (int if expected.denominator == 1 else Fraction)
+
+    @given(mixed_coefficients, st.one_of(st.integers(-12, 12), rationals).filter(bool))
+    def test_truediv_matches_fraction_reference(self, coeffs, divisor):
+        quotient = PowerSeries(coeffs) / divisor
+        assert quotient.coeffs == tuple(Fraction(c) / Fraction(divisor) for c in coeffs)
+        assert_normal_form(quotient)
+
+    @pytest.mark.parametrize("zero", [0, Fraction(0)])
+    def test_division_by_zero(self, zero):
+        with pytest.raises(ZeroDivisionError):
+            PowerSeries([1, Fraction(1, 2)]) / zero
+        with pytest.raises(ZeroDivisionError):
+            _divide(3, zero)
 
 
 class TestSqrt:

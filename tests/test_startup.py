@@ -133,6 +133,22 @@ class TestSubcommandImports:
         assert out.startswith(stdout)
         assert not {"imptables.monoid", "imptables.recurrences", "dataclasses"} & modules
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("series", "t", "--n", "3"), ("table", "--n", "2"), ("verify", "--n", "3")],
+        ids=lambda argv: argv[0],
+    )
+    def test_plain_output_loads_no_json(self, argv):
+        code, _, modules = loaded_by(*argv)
+        assert code == 0
+        assert "json" not in modules
+
+    def test_json_output_loads_json(self):
+        code, out, modules = loaded_by("series", "t", "--n", "3", "--format", "json")
+        assert code == 0
+        assert out.startswith("{")
+        assert "json" in modules
+
     def test_monoid_loads_monoid(self):
         code, out, modules = loaded_by("monoid", "--order", "4")
         assert code == 0
