@@ -246,12 +246,14 @@ _ROWS = [bytes(row).ljust(256, b"\\0") for row in _IMPLIES_TABLE]
     \"\"\"Run every verification suite for both logics and collect reports.
 
     A tamper triple applies to whichever logic owns the named series;
-    the other logic runs clean.
+    the other logic runs clean.  A tamper that names no series of
+    either logic raises ValueError before anything is expanded.
     \"\"\"
+    if tamper is not None and not any(tamper[0] in names for names in SERIES.values()):
+        raise ValueError(f"tamper target {tamper[0]!r} is not a series of either logic")
     reports: list[VerificationReport] = []
-    for logic in ("kleene", "classical"):
-        owned = set(GENERATORS[logic]) | {TOTALS[logic]}
-        local_tamper = tamper if tamper is not None and tamper[0] in owned else None
+    for logic, names in SERIES.items():
+        local_tamper = tamper if tamper is not None and tamper[0] in names else None
         realizer = Realizer(logic, order, tamper=local_tamper)
         samples = default_sample(logic, seed=seed)
         nonidentity = [e for e in samples if not e.is_identity]
@@ -271,12 +273,14 @@ def run_all(
     \"\"\"Run every verification suite for both logics and collect reports.
 
     A tamper triple applies to whichever logic owns the named series;
-    the other logic runs clean.
+    the other logic runs clean.  A tamper that names no series of
+    either logic raises ValueError before anything is expanded.
     \"\"\"
+    if tamper is not None and not any(tamper[0] in names for names in SERIES.values()):
+        raise ValueError(f"tamper target {tamper[0]!r} is not a series of either logic")
     reports: list[VerificationReport] = []
-    for logic in ("kleene", "classical"):
-        owned = set(GENERATORS[logic]) | {TOTALS[logic]}
-        local_tamper = tamper if tamper is not None and tamper[0] in owned else None
+    for logic, names in SERIES.items():
+        local_tamper = tamper if tamper is not None and tamper[0] in names else None
         realizer = Realizer(logic, order, tamper=local_tamper)
         samples = default_sample(logic, seed=seed)
         nonidentity = [e for e in samples if not e.is_identity]
@@ -285,6 +289,61 @@ def run_all(
         reports.append(_verify_bound(realizer, nonidentity))
 """,
         ["tests/test_monoid.py::TestRunAll::test_calls_every_claim_through_the_module"],
+    ),
+    (
+        "commutativity without its top coefficient",
+        MONOID,
+        """    every_n = range(realizer.order + 1)
+    cases = (
+        (
+            realizer.product(a, b).coeffs,
+""",
+        """    every_n = range(realizer.order)
+    cases = (
+        (
+            realizer.product(a, b).coeffs,
+""",
+        [
+            "tests/test_monoid.py::TestCommutativityAndAssociativity"
+            "::test_commutativity_checks_the_top_coefficient"
+        ],
+    ),
+    (
+        "power identities without their top coefficient",
+        MONOID,
+        """    every_n = range(realizer.order + 1)
+    f, g = realizer.series("f"), realizer.series("g")
+""",
+        """    every_n = range(realizer.order)
+    f, g = realizer.series("f"), realizer.series("g")
+""",
+        ["tests/test_monoid.py::TestPowerIdentities::test_identity_broken_at_the_top_only"],
+    ),
+    (
+        "f identity's right side taking the left side's top coefficient",
+        MONOID,
+        """(2 * (fk1 * realizer.series("u")) - fk1 + power("f", k - 2).shift()).coeffs,
+""",
+        """(2 * (fk1 * realizer.series("u")) - fk1 + power("f", k - 2).shift()).coeffs[:-1]
+                + power("f", k).coeffs[-1:],
+""",
+        ["tests/test_monoid.py::TestPowerIdentities::test_identity_broken_at_the_top_only"],
+    ),
+    (
+        "environment value reported as the flag",
+        CLI,
+        """        source = f"environment variable {env}"
+""",
+        """        source = flag
+""",
+        ["tests/test_cli.py::TestSettings"],
+    ),
+    (
+        "floor compared with <=",
+        CLI,
+        "value is not None and floor is not None and value < floor",
+        "value is not None and floor is not None and value <= floor",
+        ["tests/test_cli.py::TestSettings"],
     ),
     (
         "brute leg dropped from agree",

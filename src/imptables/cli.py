@@ -22,15 +22,17 @@ empty, as a shell redirection does.
 Exit codes: 0 success or verified, 1 counterexample found (including
 a closed form that expands to a non-integral or negative count: one
 error line, nothing on stdout), 2 usage error (including any ValueError
-the library raises on the arguments, a negative --budget or
-IMPTABLES_BUDGET, an --output path that cannot be opened, and output
-that cannot be written: a closed pipe, a full disk), 3 budget exceeded
-(brute force beyond its budget, or a table of more than
-TABLE_ROW_LIMIT rows).
+the library raises on the arguments, a setting below its floor or an
+environment value that is not an integer, an --output path that cannot
+be opened, and output that cannot be written: a closed pipe, a full
+disk), 3 budget exceeded (brute force beyond its budget, or a table of
+more than TABLE_ROW_LIMIT rows).
 
 Defaults for --order, --seed and --budget can be overridden with the
 IMPTABLES_ORDER, IMPTABLES_SEED and IMPTABLES_BUDGET environment
-variables; explicit flags always win.
+variables; explicit flags always win.  Every integer setting is read by
+`_setting`, and a usage error about one names where its value came
+from: the flag, or the environment variable.
 """
 
 from __future__ import annotations
@@ -82,33 +84,34 @@ def run_all(**kwargs) -> list:
     return run_all(**kwargs)
 
 
-def _resolve(
-    flag_value: Optional[int], env_name: str, fallback: Optional[int]
+def _setting(
+    flag: str,
+    value: Optional[int],
+    env: Optional[str] = None,
+    default: Optional[int] = None,
+    floor: Optional[int] = None,
+    why: str = "",
 ) -> Optional[int]:
-    """The flag if given, else the environment variable if set, else ``fallback``."""
-    if flag_value is not None:
-        return flag_value
-    raw = os.environ.get(env_name, "")
-    if raw == "":
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise CliUsageError(f"environment variable {env_name} must be an integer, got {raw!r}")
+    """One integer setting: the flag's value if given, else the environment
+    variable ``env`` if set and nonempty, else ``default``.
 
-
-def _at_least(flag: str, value: int, floor: int, why: str = "") -> int:
-    if value < floor:
-        raise CliUsageError(f"{flag} must be at least {floor}{why}, got {value}")
+    A value below ``floor`` (``why`` says why the floor is there) or an
+    environment value that is not an integer is a usage error naming
+    the source: the flag, or the environment variable.
+    """
+    source = flag
+    raw = os.environ.get(env, "") if env and value is None else ""
+    if raw:
+        source = f"environment variable {env}"
+        try:
+            value = int(raw)
+        except ValueError:
+            raise CliUsageError(f"{source} must be an integer, got {raw!r}")
+    elif value is None:
+        value = default
+    if value is not None and floor is not None and value < floor:
+        raise CliUsageError(f"{source} must be at least {floor}{why}, got {value}")
     return value
-
-
-def _budget(flag_value: Optional[int], fallback: Optional[int]) -> Optional[int]:
-    """The brute-force budget from --budget or IMPTABLES_BUDGET; negative
-    is a usage error."""
-    budget = _resolve(flag_value, "IMPTABLES_BUDGET", fallback)
-    source = "--budget" if flag_value is not None else "environment variable IMPTABLES_BUDGET"
-    return budget if budget is None else _at_least(source, budget, 0)
 
 
 def _dump_json(payload: object) -> str:
@@ -131,7 +134,7 @@ def _render(fmt: str, payload: object, lines: list[str]) -> list[str]:
 
 
 def _cmd_series(args: argparse.Namespace) -> Result:
-    n_max = _at_least("--n", args.n, 1)
+    n_max = _setting("--n", args.n, floor=1)
     series = closed_form(args.name, n_max)
     values = [series.coefficient(n) for n in range(1, n_max + 1)]
     lines = []
@@ -203,7 +206,7 @@ def _table_lines(tree: Bracketing, n: int, sem: Semantics, fmt: str) -> Iterator
 
 def _cmd_table(args: argparse.Namespace) -> Result:
     sem = semantics_from_radix(args.semantics)
-    n = _at_least("--n", args.n, 1)
+    n = _setting("--n", args.n, floor=1)
     # The exponent is capped so a huge --n costs no huge power.
     if sem.radix ** min(n, TABLE_ROW_LIMIT.bit_length()) > TABLE_ROW_LIMIT:
         raise BudgetError(
@@ -247,9 +250,8 @@ def _verify_rows(n_max: int, sem: Semantics, limit: int) -> list[dict]:
 
 def _cmd_verify(args: argparse.Namespace) -> Result:
     sem = semantics_from_radix(args.semantics)
-    n_max = args.n if args.n is not None else (7 if sem.radix == 3 else 9)
-    _at_least("--n", n_max, 1)
-    limit = _budget(args.budget, sem.brute_budget)
+    n_max = _setting("--n", args.n, default=7 if sem.radix == 3 else 9, floor=1)
+    limit = _setting("--budget", args.budget, "IMPTABLES_BUDGET", sem.brute_budget, 0)
     rows = _verify_rows(n_max, sem, limit)
     all_agree = all(row["agree"] for row in rows)
     names = COUNT_SERIES[sem.radix]
@@ -309,14 +311,13 @@ def _witness_json(witness) -> Optional[dict]:
 
 
 def _cmd_monoid(args: argparse.Namespace) -> Result:
-    order = _resolve(args.order, "IMPTABLES_ORDER", DEFAULT_ORDER)
-    seed = _resolve(args.seed, "IMPTABLES_SEED", DEFAULT_SEED)
-    _at_least("--order", order, 2)
-    _at_least("--kmax", args.kmax, 2)
+    order = _setting("--order", args.order, "IMPTABLES_ORDER", DEFAULT_ORDER, 2)
+    seed = _setting("--seed", args.seed, "IMPTABLES_SEED", DEFAULT_SEED)
+    k_max = _setting("--kmax", args.kmax, floor=2)
     tamper = _parse_tamper(args.tamper)
     if tamper is not None and tamper[1] > order:
         raise CliUsageError(f"--tamper index {tamper[1]} outside orders 0..{order}")
-    reports = run_all(order=order, k_max=args.kmax, seed=seed, tamper=tamper)
+    reports = run_all(order=order, k_max=k_max, seed=seed, tamper=tamper)
     all_ok = all(r.verified for r in reports)
     lines = [r.summary_line() for r in reports]
     if tamper is not None:
@@ -325,7 +326,7 @@ def _cmd_monoid(args: argparse.Namespace) -> Result:
     lines.append("all claims verified" if all_ok else "counterexample found")
     payload = {
         "order": order,
-        "k_max": args.kmax,
+        "k_max": k_max,
         "seed": seed,
         "tamper": list(tamper) if tamper else None,
         "verified": all_ok,
@@ -348,8 +349,8 @@ def _cmd_monoid(args: argparse.Namespace) -> Result:
 
 def _cmd_colors(args: argparse.Namespace) -> Result:
     sem = semantics_from_radix(args.semantics)
-    n = _at_least("--n", args.n, 2, " (a root split is needed)")
-    budget = _budget(args.budget, None)
+    n = _setting("--n", args.n, floor=2, why=" (a root split is needed)")
+    budget = _setting("--budget", args.budget, "IMPTABLES_BUDGET", floor=0)
     classes = color_class_counts(n, sem, budget=budget)
     names = COUNT_SERIES[sem.radix]
     by_value = {value: closed_form(name, n) for name, value in names.items()}

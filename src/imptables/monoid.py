@@ -44,8 +44,21 @@ from .series import PowerSeries, closed_form
 
 GENERATORS = {"kleene": ("t", "f", "u"), "classical": ("r", "s")}
 TOTALS = {"kleene": "g", "classical": "g2"}
+# Every series a realizer expands, by logic: the generators, then the total.
+SERIES = {logic: names + (TOTALS[logic],) for logic, names in GENERATORS.items()}
 
 Tamper = tuple[str, int, int]
+
+# The fixed sample sizes and caps of the claims, read by `default_sample`
+# (SAMPLE_*), `verify_partitions` (COLOR_N_MAX), `verify_ideal_samples`
+# (IDEAL_POWER_CAP) and `verify_substitution_bounds` (SUBSTITUTION_*).
+SAMPLE_DEGREE_CAP = 5
+SAMPLE_RANDOM_COUNT = 100
+SAMPLE_EXPONENT_CAP = 8
+COLOR_N_MAX = 6
+IDEAL_POWER_CAP = 3
+SUBSTITUTION_EXTRA_CAP = 3
+SUBSTITUTION_POWER_CAP = 3
 
 
 def _semantics(logic: str) -> Semantics:
@@ -174,7 +187,7 @@ class Realizer:
         self.logic = logic
         self.order = order
         self.semantics = _semantics(logic)
-        names = GENERATORS[logic] + (TOTALS[logic],)
+        names = SERIES[logic]
         if tamper is not None:
             name, index, delta = tamper
             if name not in names:
@@ -242,29 +255,22 @@ class Realizer:
 # --- sampling ----------------------------------------------------------------
 
 
-def default_sample(
-    logic: str,
-    seed: int = 0,
-    degree_cap: int = 5,
-    random_count: int = 100,
-    exponent_cap: int = 8,
-) -> tuple[MonoidElement, ...]:
-    """Every exponent vector of total degree <= degree_cap (identity
-    included), then `random_count` seeded random vectors with each
-    exponent <= exponent_cap.  Deterministic for a given seed.
+def default_sample(logic: str, seed: int = 0) -> tuple[MonoidElement, ...]:
+    """Every exponent vector of total degree <= SAMPLE_DEGREE_CAP (identity
+    included), then SAMPLE_RANDOM_COUNT seeded random vectors with each
+    exponent <= SAMPLE_EXPONENT_CAP.  Deterministic for a given seed.
     """
     names = GENERATORS[logic]
     width = len(names)
     elements = [
         MonoidElement(logic, exps)
-        for exps in itertools.product(range(degree_cap + 1), repeat=width)
-        if sum(exps) <= degree_cap
+        for exps in itertools.product(range(SAMPLE_DEGREE_CAP + 1), repeat=width)
+        if sum(exps) <= SAMPLE_DEGREE_CAP
     ]
     rng = random.Random(seed)
-    for _ in range(random_count):
-        elements.append(
-            MonoidElement(logic, tuple(rng.randint(0, exponent_cap) for _ in range(width)))
-        )
+    for _ in range(SAMPLE_RANDOM_COUNT):
+        exponents = tuple(rng.randint(0, SAMPLE_EXPONENT_CAP) for _ in range(width))
+        elements.append(MonoidElement(logic, exponents))
     return tuple(elements)
 
 
@@ -484,14 +490,14 @@ def verify_power_identities(realizer: Realizer, k_max: int) -> VerificationRepor
     )
 
 
-def verify_partitions(realizer: Realizer, color_n_max: int = 6) -> VerificationReport:
+def verify_partitions(realizer: Realizer) -> VerificationReport:
     """The count series partition the total, and the root-split color
     classes partition the classical total.
 
     Three-valued: t + f + u = g and g = 3u.  Classical: r + s = g2, the
     four pairwise convolutions of r and s sum to g2^2, g2^2 matches g2
     from n = 2 on, and the convolutions match the brute-force color
-    classification for 2 <= n <= color_n_max.
+    classification for 2 <= n <= COLOR_N_MAX.
     """
     order = realizer.order
     claim = f"partitions[{realizer.logic}]"
@@ -508,7 +514,7 @@ def verify_partitions(realizer: Realizer, color_n_max: int = 6) -> VerificationR
 
     r, s = realizer.series("r"), realizer.series("s")
     g2 = realizer.total().coeffs
-    color_n = min(color_n_max, order)
+    color_n = min(COLOR_N_MAX, order)
 
     def classical_cases() -> Iterator[Case]:
         yield (r + s).coeffs, g2, _equal, every_n, "r + s vs g2", "r + s missed g2", {}
@@ -561,9 +567,7 @@ def verify_partitions(realizer: Realizer, color_n_max: int = 6) -> VerificationR
 
 
 def verify_ideal_samples(
-    realizer: Realizer,
-    elements: Iterable[MonoidElement],
-    power_cap: int = 3,
+    realizer: Realizer, elements: Iterable[MonoidElement]
 ) -> VerificationReport:
     """Products of a pure generator power with sampled elements keep the
     strict bound, witnessing that multiples of a generator stay inside
@@ -575,7 +579,7 @@ def verify_ideal_samples(
     powers = [
         MonoidElement.from_powers(realizer.logic, **{name: k})
         for name in GENERATORS[realizer.logic]
-        for k in range(1, power_cap + 1)
+        for k in range(1, IDEAL_POWER_CAP + 1)
     ]
     cases = (
         (
@@ -594,19 +598,16 @@ def verify_ideal_samples(
         f"ideal-containment[{realizer.logic}]",
         realizer.order,
         cases,
-        f"{{count}} products of generator powers (up to {power_cap}) with sampled "
+        f"{{count}} products of generator powers (up to {IDEAL_POWER_CAP}) with sampled "
         "elements stay strictly below the total",
     )
 
 
-def verify_substitution_bounds(
-    realizer: Realizer,
-    extra_cap: int = 3,
-    power_cap: int = 3,
-) -> VerificationReport:
+def verify_substitution_bounds(realizer: Realizer) -> VerificationReport:
     """Domination patterns between mixed and pure generator powers.
 
-    For a, k in the sampled grid and 2 <= n <= order:
+    For 0 <= a <= SUBSTITUTION_EXTRA_CAP, 1 <= k <= SUBSTITUTION_POWER_CAP
+    and 2 <= n <= order:
 
         [x^n](u^a * (u*f)^k) <= [x^n]u^k
         [x^n](u^a * (u*t)^k) <= [x^n]t^k
@@ -635,8 +636,8 @@ def verify_substitution_bounds(
             {},
         )
         for extra_name, partner, target, pattern in families
-        for a in range(extra_cap + 1)
-        for k in range(1, power_cap + 1)
+        for a in range(SUBSTITUTION_EXTRA_CAP + 1)
+        for k in range(1, SUBSTITUTION_POWER_CAP + 1)
     )
     return _check(
         "substitution-bounds[kleene]",
@@ -659,12 +660,14 @@ def run_all(
     """Run every verification suite for both logics and collect reports.
 
     A tamper triple applies to whichever logic owns the named series;
-    the other logic runs clean.
+    the other logic runs clean.  A tamper that names no series of
+    either logic raises ValueError before anything is expanded.
     """
+    if tamper is not None and not any(tamper[0] in names for names in SERIES.values()):
+        raise ValueError(f"tamper target {tamper[0]!r} is not a series of either logic")
     reports: list[VerificationReport] = []
-    for logic in ("kleene", "classical"):
-        owned = set(GENERATORS[logic]) | {TOTALS[logic]}
-        local_tamper = tamper if tamper is not None and tamper[0] in owned else None
+    for logic, names in SERIES.items():
+        local_tamper = tamper if tamper is not None and tamper[0] in names else None
         realizer = Realizer(logic, order, tamper=local_tamper)
         samples = default_sample(logic, seed=seed)
         nonidentity = [e for e in samples if not e.is_identity]

@@ -467,6 +467,75 @@ class TestColors:
         assert code == 2
 
 
+class TestSettings:
+    """Every integer setting is read by `cli._setting`: the flag, else its
+    IMPTABLES_* variable, else the default.  A usage error names the source
+    of the value it rejects (the goldens pin more such errors)."""
+
+    @pytest.fixture(autouse=True)
+    def clean_env(self, monkeypatch):
+        for name in ("IMPTABLES_ORDER", "IMPTABLES_SEED", "IMPTABLES_BUDGET"):
+            monkeypatch.delenv(name, raising=False)
+
+    @pytest.mark.parametrize(
+        "argv, env, code",
+        [
+            ("series i --n 1", {}, 0),
+            ("table --n 1", {}, 0),
+            ("verify --n 1 --budget 0", {}, 0),
+            ("verify --n 1", {"IMPTABLES_BUDGET": "0"}, 0),
+            ("monoid --order 2 --kmax 2", {}, 0),
+            ("monoid --kmax 2", {"IMPTABLES_ORDER": "2"}, 0),
+            ("colors --n 2", {}, 0),
+            # The floor admits 0; brute force then refuses n = 2.
+            ("colors --n 2 --budget 0", {}, 3),
+            ("colors --n 2", {"IMPTABLES_BUDGET": "0"}, 3),
+        ],
+    )
+    def test_floor_is_accepted(self, capsys, monkeypatch, argv, env, code):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert run(capsys, *argv.split())[0] == code
+
+    @pytest.mark.parametrize(
+        "argv, env, message",
+        [
+            ("monoid --order 1", {"IMPTABLES_ORDER": "8"}, "--order must be at least 2, got 1"),
+            (
+                "verify",
+                {"IMPTABLES_BUDGET": "-1"},
+                "environment variable IMPTABLES_BUDGET must be at least 0, got -1",
+            ),
+            (
+                "colors --budget -1",
+                {"IMPTABLES_BUDGET": "4"},
+                "--budget must be at least 0, got -1",
+            ),
+            # Settings are read in order: the order's floor before the seed.
+            ("monoid --order 1", {"IMPTABLES_SEED": "x"}, "--order must be at least 2, got 1"),
+        ],
+    )
+    def test_error_names_the_source(self, capsys, monkeypatch, argv, env, message):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert run(capsys, *argv.split()) == (2, "", f"error: {message}\n")
+
+    def test_flags_beat_bad_environment_values(self, capsys, monkeypatch):
+        monkeypatch.setenv("IMPTABLES_ORDER", "many")
+        monkeypatch.setenv("IMPTABLES_SEED", "x")
+        code, out, _ = run(
+            capsys, "monoid", "--order", "4", "--seed", "1", "--kmax", "2", "--format", "json"
+        )
+        payload = json.loads(out)
+        assert (code, payload["order"], payload["seed"]) == (0, 4, 1)
+
+    def test_empty_environment_value_means_the_default(self, capsys, monkeypatch):
+        monkeypatch.setenv("IMPTABLES_BUDGET", "")
+        code, out, _ = run(capsys, "verify", "--n", "1")
+        assert code == 0
+        assert out.startswith("kleene three-way agreement, n <= 1 (brute budget 8)\n")
+
+
 class TestParser:
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as exc:

@@ -233,8 +233,27 @@ class TestCommutativityAndAssociativity:
         assert not report.verified
         assert report.witness == Witness(1, 1, 0, "((t)*(1))*(1) vs (t)*((1)*(1))")
 
+    def test_commutativity_checks_the_top_coefficient(self, monkeypatch):
+        realizer = Realizer("kleene", 8)
+        plain = PowerSeries.__mul__
+
+        def skewed(a, b):
+            # Exact except at x^order, where a*b gains a's top coefficient.
+            coeffs = list(plain(a, b).coeffs)
+            coeffs[-1] += a.coeffs[-1]
+            return PowerSeries(coeffs)
+
+        monkeypatch.setattr(PowerSeries, "__mul__", skewed)
+        t = MonoidElement.from_powers("kleene", t=1)
+        f = MonoidElement.from_powers("kleene", f=1)
+        report = verify_commutativity(realizer, [(t, f)])
+        assert not report.verified
+        assert report.witness.n == 8
+        assert report.witness.context == "(t)*(f) vs (f)*(t)"
+
     def test_classical_sampled(self, classical_realizer):
-        samples = default_sample("classical", seed=3, random_count=10)
+        # The 21 grid vectors and the first 10 seeded ones.
+        samples = default_sample("classical", seed=3)[:31]
         pairs = list(zip(samples, reversed(samples)))
         assert verify_commutativity(classical_realizer, pairs).verified
 
@@ -310,6 +329,15 @@ class TestPowerIdentities:
         report = verify_power_identities(bent, 3)
         assert not report.verified
         assert report.witness is not None
+
+    def test_identity_broken_at_the_top_only(self):
+        # f shifted at x^order alone: every power of f and every term of
+        # the t identity lose the shift past the truncation, so only the
+        # f identity's right side sees it, and only at n = order.
+        bent = Realizer("kleene", 8, tamper=("f", 8, 1))
+        report = verify_power_identities(bent, 3)
+        assert not report.verified
+        assert report.witness == Witness(8, 64613, 64612, "f^2 vs 2f^1u - f^1 + x*f^0")
 
 
 class TestPartitions:
@@ -431,6 +459,15 @@ class TestRunAll:
         assert all(r.verified for r in run_all(order=8, seed=0))
         assert calls["mul"] <= 1734
         assert calls["str"] == 0
+
+    @pytest.mark.parametrize("tamper", [("x", 0, 1), ("i", 0, 1)])
+    def test_tamper_naming_no_series_rejected_before_any_expansion(self, monkeypatch, tamper):
+        def expand(name, order):
+            raise AssertionError("closed_form called before the tamper was checked")
+
+        monkeypatch.setattr("imptables.monoid.closed_form", expand)
+        with pytest.raises(ValueError, match="tamper"):
+            run_all(order=6, k_max=2, tamper=tamper)
 
     def test_tamper_hits_only_owning_logic(self):
         reports = run_all(order=12, k_max=3, seed=0, tamper=("t", 3, 1))
