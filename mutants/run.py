@@ -189,9 +189,33 @@ _ROWS = [bytes(row).ljust(256, b"\\0") for row in _IMPLIES_TABLE]
     (
         "asymmetric series product",
         SERIES,
-        "sum(map(mul, a, rb[n - m :])) for m in range(n + 1)",
-        "sum(map(mul, a[:m], rb[n - m :])) for m in range(n + 1)",
+        "sum(map(mul, head, rb[n - m :])) for m in range(va + vb, n + 1)",
+        "sum(map(mul, head[: m - va - vb], rb[n - m :])) for m in range(va + vb, n + 1)",
         ["tests/test_monoid.py::TestCommutativityAndAssociativity"],
+    ),
+    (
+        "first nonzero coefficient skipped",
+        SERIES,
+        """        if coeffs[i]:
+            return i
+""",
+        """        if coeffs[i]:
+            return i + 1
+""",
+        [
+            "tests/test_series.py::TestArithmetic"
+            "::test_mul_with_leading_zeros_matches_fraction_reference"
+        ],
+    ),
+    (
+        "dense product",
+        SERIES,
+        "va, vb = _valuation(a, n), _valuation(b, n)",
+        "va, vb = 0, 0",
+        [
+            "tests/test_series.py::TestArithmetic"
+            "::test_mul_forms_only_products_above_both_valuations"
+        ],
     ),
     (
         "product memo keyed on the unordered pair",
@@ -247,10 +271,15 @@ _ROWS = [bytes(row).ljust(256, b"\\0") for row in _IMPLIES_TABLE]
 
     A tamper triple applies to whichever logic owns the named series;
     the other logic runs clean.  A tamper that names no series of
-    either logic raises ValueError before anything is expanded.
+    either logic, or an index outside 0..order, raises ValueError
+    before anything is expanded.
     \"\"\"
-    if tamper is not None and not any(tamper[0] in names for names in SERIES.values()):
-        raise ValueError(f"tamper target {tamper[0]!r} is not a series of either logic")
+    if tamper is not None:
+        name, index, _ = tamper
+        if not any(name in names for names in SERIES.values()):
+            raise ValueError(f"tamper target {name!r} is not a series of either logic")
+        if not 0 <= index <= order:
+            raise ValueError(f"tamper index {index} outside orders 0..{order}")
     reports: list[VerificationReport] = []
     for logic, names in SERIES.items():
         local_tamper = tamper if tamper is not None and tamper[0] in names else None
@@ -274,10 +303,15 @@ def run_all(
 
     A tamper triple applies to whichever logic owns the named series;
     the other logic runs clean.  A tamper that names no series of
-    either logic raises ValueError before anything is expanded.
+    either logic, or an index outside 0..order, raises ValueError
+    before anything is expanded.
     \"\"\"
-    if tamper is not None and not any(tamper[0] in names for names in SERIES.values()):
-        raise ValueError(f"tamper target {tamper[0]!r} is not a series of either logic")
+    if tamper is not None:
+        name, index, _ = tamper
+        if not any(name in names for names in SERIES.values()):
+            raise ValueError(f"tamper target {name!r} is not a series of either logic")
+        if not 0 <= index <= order:
+            raise ValueError(f"tamper index {index} outside orders 0..{order}")
     reports: list[VerificationReport] = []
     for logic, names in SERIES.items():
         local_tamper = tamper if tamper is not None and tamper[0] in names else None

@@ -661,10 +661,15 @@ def run_all(
 
     A tamper triple applies to whichever logic owns the named series;
     the other logic runs clean.  A tamper that names no series of
-    either logic raises ValueError before anything is expanded.
+    either logic, or an index outside 0..order, raises ValueError
+    before anything is expanded.
     """
-    if tamper is not None and not any(tamper[0] in names for names in SERIES.values()):
-        raise ValueError(f"tamper target {tamper[0]!r} is not a series of either logic")
+    if tamper is not None:
+        name, index, _ = tamper
+        if not any(name in names for names in SERIES.values()):
+            raise ValueError(f"tamper target {name!r} is not a series of either logic")
+        if not 0 <= index <= order:
+            raise ValueError(f"tamper index {index} outside orders 0..{order}")
     reports: list[VerificationReport] = []
     for logic, names in SERIES.items():
         local_tamper = tamper if tamper is not None and tamper[0] in names else None

@@ -4,6 +4,10 @@ Coefficients are `int` when integral, else `Fraction`; nothing ever
 rounds.  A series carries its truncation order explicitly, and every
 binary operation truncates to the smaller participating order rather
 than padding, so precision loss is always visible in the result's order.
+A product forms only the coefficient products above both factors'
+valuations (the index of each one's first nonzero coefficient): the
+count series have no constant term, so t^i f^j u^k starts at x^(i+j+k)
+and the zeros below it cost nothing.
 
 The module also builds the closed forms of the truth-table count
 series.  Writing s = sqrt(1-12x) and w = sqrt(5+24x+4s), the
@@ -65,6 +69,14 @@ def _divide(c: Scalar, d: Scalar) -> Scalar:
     normalising a `Fraction` takes; ZeroDivisionError when ``d`` is 0."""
     q, r = divmod(c, d)
     return q if r == 0 else _exact(Fraction(c) / d)
+
+
+def _valuation(coeffs: tuple[Scalar, ...], n: int) -> int:
+    """Index of the first nonzero coefficient among ``coeffs[0..n]``; n + 1 if none."""
+    for i in range(n + 1):
+        if coeffs[i]:
+            return i
+    return n + 1
 
 
 class PowerSeries:
@@ -157,13 +169,25 @@ class PowerSeries:
         return PowerSeries((0,) + self.coeffs[:-1])
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
+        """The Cauchy product, truncated to the smaller order n.
+
+        With va and vb the indices of the factors' first nonzero
+        coefficients within 0..n, the first va + vb coefficients are 0
+        and the x**m one sums a_k b_{m-k} for va <= k <= m - vb only: a
+        product forms no coefficient product below either valuation.
+        """
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, PowerSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        a, rb = self.coeffs, other.coeffs[n::-1]
-        return PowerSeries(sum(map(mul, a, rb[n - m :])) for m in range(n + 1))
+        a, b = self.coeffs, other.coeffs
+        va, vb = _valuation(a, n), _valuation(b, n)
+        head, rb = a[va:], b[vb : n - va + 1][::-1]
+        zeros = [0] * min(va + vb, n + 1)
+        return PowerSeries(
+            zeros + [sum(map(mul, head, rb[n - m :])) for m in range(va + vb, n + 1)]
+        )
 
     def __pow__(self, exponent: int) -> "PowerSeries":
         if not isinstance(exponent, int) or exponent < 0:

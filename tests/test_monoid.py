@@ -469,6 +469,21 @@ class TestRunAll:
         with pytest.raises(ValueError, match="tamper"):
             run_all(order=6, k_max=2, tamper=tamper)
 
+    @pytest.mark.parametrize("tamper", [("s", 99, 1), ("s", 9, 1), ("t", -1, 1)])
+    def test_tamper_index_out_of_range_rejected_before_any_expansion(self, monkeypatch, tamper):
+        # s is classical: left to its Realizer, the index would be rejected
+        # only after the whole Kleene suite had run.
+        calls = []
+
+        def expand(name, order):
+            calls.append(name)
+            return closed_form(name, order)
+
+        monkeypatch.setattr("imptables.monoid.closed_form", expand)
+        with pytest.raises(ValueError, match=f"tamper index {tamper[1]} outside orders 0..8"):
+            run_all(order=8, k_max=2, tamper=tamper)
+        assert calls == []
+
     def test_tamper_hits_only_owning_logic(self):
         reports = run_all(order=12, k_max=3, seed=0, tamper=("t", 3, 1))
         failed = [r for r in reports if not r.verified]

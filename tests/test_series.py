@@ -2,8 +2,9 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+import imptables.series as series_module
 from imptables.logic import catalan
 from imptables.series import (
     CLASSICAL_SERIES,
@@ -33,6 +34,22 @@ mixed_coefficients = st.lists(
     min_size=1,
     max_size=9,
 )
+
+
+@st.composite
+def padded_factors(draw):
+    """Two coefficient lists of unequal orders, each with 0 to order + 2
+    leading zeros (int and Fraction) in front of a nonzero coefficient;
+    a factor with more than order leading zeros is all zero."""
+    p = draw(st.integers(min_value=0, max_value=8))
+    q = draw(st.integers(min_value=0, max_value=8).filter(lambda q: q != p))
+    factors = []
+    for order in (p, q):
+        lead = draw(st.lists(st.sampled_from([0, Fraction(0)]), max_size=order + 2))
+        first = draw(rationals.filter(bool))
+        rest = draw(st.lists(rationals, min_size=order, max_size=order))
+        factors.append((lead + [first] + rest)[: order + 1])
+    return factors
 
 
 def fraction_product(a, b):
@@ -151,6 +168,38 @@ class TestArithmetic:
         product = PowerSeries(a) * PowerSeries(b)
         assert product.coeffs == tuple(fraction_product(a, b))
         assert_normal_form(product)
+
+    @given(padded_factors())
+    @example([[0, Fraction(0), 0], [Fraction(1, 2), -3, 4, 5, 6]])
+    @example([[Fraction(0), 0, 0, 0, 0, 7, Fraction(1, 3)], [2, -1, Fraction(5, 2)]])
+    @example([[0, 0, Fraction(-1, 2), 3], [0, 5, 0, 0, 0, 2]])
+    def test_mul_with_leading_zeros_matches_fraction_reference(self, factors):
+        a, b = factors
+        for x, y in ((a, b), (b, a)):
+            product = PowerSeries(x) * PowerSeries(y)
+            assert product.coeffs == tuple(fraction_product(x, y))
+            assert_normal_form(product)
+
+    def test_mul_forms_only_products_above_both_valuations(self, monkeypatch):
+        formed = []
+
+        def counted_mul(x, y):
+            formed.append((x, y))
+            return x * y
+
+        monkeypatch.setattr(series_module, "mul", counted_mul)
+        a = PowerSeries([0] * 4 + list(range(1, 18)))
+        b = PowerSeries([0] * 6 + [Fraction(k, 3) for k in range(1, 16)])
+        assert a.order == b.order == 20
+        product = a * b
+        assert product.coeffs == tuple(fraction_product(a.coeffs, b.coeffs))
+        # x^m for m = 10..20 sums m - 9 products: 1 + 2 + ... + 11.
+        assert len(formed) == 66
+        formed.clear()
+        late = PowerSeries([0] * 17 + [1] * 4)
+        assert (a * late).coeffs == (0,) * 21
+        assert (late * b).coeffs == (0,) * 21
+        assert formed == []
 
     @pytest.mark.parametrize("long_first", [True, False])
     def test_mul_of_unequal_orders_matches_fraction_reference(self, long_first):
