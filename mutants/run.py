@@ -271,15 +271,12 @@ _ROWS = [bytes(row).ljust(256, b"\\0") for row in _IMPLIES_TABLE]
 
     A tamper triple applies to whichever logic owns the named series;
     the other logic runs clean.  A tamper that names no series of
-    either logic, or an index outside 0..order, raises ValueError
-    before anything is expanded.
+    either logic, an index outside 0..order, or k_max below 2 raises
+    ValueError before anything is expanded.
     \"\"\"
-    if tamper is not None:
-        name, index, _ = tamper
-        if not any(name in names for names in SERIES.values()):
-            raise ValueError(f"tamper target {name!r} is not a series of either logic")
-        if not 0 <= index <= order:
-            raise ValueError(f"tamper index {index} outside orders 0..{order}")
+    _check_tamper(tamper, KLEENE_SERIES + CLASSICAL_SERIES, order, "a series of either logic")
+    if k_max < 2:
+        raise ValueError(f"k_max must be at least 2, got {k_max}")
     reports: list[VerificationReport] = []
     for logic, names in SERIES.items():
         local_tamper = tamper if tamper is not None and tamper[0] in names else None
@@ -303,15 +300,12 @@ def run_all(
 
     A tamper triple applies to whichever logic owns the named series;
     the other logic runs clean.  A tamper that names no series of
-    either logic, or an index outside 0..order, raises ValueError
-    before anything is expanded.
+    either logic, an index outside 0..order, or k_max below 2 raises
+    ValueError before anything is expanded.
     \"\"\"
-    if tamper is not None:
-        name, index, _ = tamper
-        if not any(name in names for names in SERIES.values()):
-            raise ValueError(f"tamper target {name!r} is not a series of either logic")
-        if not 0 <= index <= order:
-            raise ValueError(f"tamper index {index} outside orders 0..{order}")
+    _check_tamper(tamper, KLEENE_SERIES + CLASSICAL_SERIES, order, "a series of either logic")
+    if k_max < 2:
+        raise ValueError(f"k_max must be at least 2, got {k_max}")
     reports: list[VerificationReport] = []
     for logic, names in SERIES.items():
         local_tamper = tamper if tamper is not None and tamper[0] in names else None
@@ -323,6 +317,13 @@ def run_all(
         reports.append(_verify_bound(realizer, nonidentity))
 """,
         ["tests/test_monoid.py::TestRunAll::test_calls_every_claim_through_the_module"],
+    ),
+    (
+        "tamper range closed below the order",
+        MONOID,
+        "        if not 0 <= index <= order:\n",
+        "        if not 0 <= index < order:\n",
+        ["tests/test_monoid.py::TestRunAll::test_tamper_at_either_end_of_the_range_is_applied"],
     ),
     (
         "commutativity without its top coefficient",
@@ -385,6 +386,27 @@ def run_all(
         "agree = closed_row == recurrence and brute_row in (None, recurrence)",
         "agree = closed_row == recurrence",
         ["tests/test_cli.py::TestVerify::test_brute_force_leg_can_fail"],
+    ),
+    (
+        "verify verdict always true",
+        CLI,
+        'all_agree = all(row["agree"] for row in rows)',
+        "all_agree = True",
+        ["tests/test_cli.py::TestVerify::test_brute_force_leg_can_fail"],
+    ),
+    (
+        "monoid verdict always true",
+        CLI,
+        "all_ok = all(r.verified for r in reports)",
+        "all_ok = True",
+        ["tests/test_cli.py::TestMonoid"],
+    ),
+    (
+        "colors verdict always true",
+        CLI,
+        "agree = all(classes[k] == products[k] for k in keys)",
+        "agree = True",
+        ["tests/test_cli.py::TestColors"],
     ),
     (
         "wrong json separator",

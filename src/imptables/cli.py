@@ -21,12 +21,13 @@ empty, as a shell redirection does.
 
 Exit codes: 0 success or verified, 1 counterexample found (including
 a closed form that expands to a non-integral or negative count: one
-error line, nothing on stdout), 2 usage error (including any ValueError
-the library raises on the arguments, a setting below its floor or an
-environment value that is not an integer, an --output path that cannot
-be opened, and output that cannot be written: a closed pipe, a full
-disk), 3 budget exceeded (brute force beyond its budget, or a table of
-more than TABLE_ROW_LIMIT rows).
+error line, nothing on stdout), 2 usage error, 3 budget exceeded (brute
+force beyond its budget, or a table of more than TABLE_ROW_LIMIT rows).
+Exit 2 is any ValueError: this module raises plain ValueError for its
+own usage errors (a setting below its floor, an environment value that
+is not an integer, a bad --tamper, an --output path that cannot be
+opened), as the library does, so there is no separate usage-error type.
+Output that cannot be written (a closed pipe, a full disk) exits 2 too.
 
 Defaults for --order, --seed and --budget can be overridden with the
 IMPTABLES_ORDER, IMPTABLES_SEED and IMPTABLES_BUDGET environment
@@ -34,8 +35,6 @@ variables; explicit flags always win.  Every integer setting is read by
 `_setting`, and a usage error about one names where its value came
 from: the flag, or the environment variable.
 """
-
-from __future__ import annotations
 
 import argparse
 import contextlib
@@ -72,10 +71,6 @@ COUNT_SERIES = {3: {"t": 1, "f": 0, "u": 2}, 2: {"r": 1, "s": 0}}
 Result = tuple[int, Iterable[str]]
 
 
-class CliUsageError(Exception):
-    """Bad arguments detected after parsing; maps to exit code 2."""
-
-
 def run_all(**kwargs) -> list:
     """`monoid.run_all`, imported when called: only the monoid subcommand
     loads the monoid module."""
@@ -106,11 +101,11 @@ def _setting(
         try:
             value = int(raw)
         except ValueError:
-            raise CliUsageError(f"{source} must be an integer, got {raw!r}")
+            raise ValueError(f"{source} must be an integer, got {raw!r}")
     elif value is None:
         value = default
     if value is not None and floor is not None and value < floor:
-        raise CliUsageError(f"{source} must be at least {floor}{why}, got {value}")
+        raise ValueError(f"{source} must be at least {floor}{why}, got {value}")
     return value
 
 
@@ -284,18 +279,14 @@ def _parse_tamper(raw: Optional[str]) -> Optional[tuple[str, int, int]]:
         return None
     parts = raw.split(":")
     if len(parts) != 3:
-        raise CliUsageError(
-            f"--tamper takes NAME:INDEX:DELTA (e.g. t:3:1), got {raw!r}"
-        )
+        raise ValueError(f"--tamper takes NAME:INDEX:DELTA (e.g. t:3:1), got {raw!r}")
     name, index_text, delta_text = parts
     if name not in SERIES_NAMES or name == "i":
-        raise CliUsageError(f"--tamper target must be a count series, got {name!r}")
+        raise ValueError(f"--tamper target must be a count series, got {name!r}")
     try:
         index, delta = int(index_text), int(delta_text)
     except ValueError:
-        raise CliUsageError(f"--tamper index and delta must be integers, got {raw!r}")
-    if index < 0:
-        raise CliUsageError(f"--tamper index must be nonnegative, got {index}")
+        raise ValueError(f"--tamper index and delta must be integers, got {raw!r}")
     return (name, index, delta)
 
 
@@ -315,8 +306,8 @@ def _cmd_monoid(args: argparse.Namespace) -> Result:
     seed = _setting("--seed", args.seed, "IMPTABLES_SEED", DEFAULT_SEED)
     k_max = _setting("--kmax", args.kmax, floor=2)
     tamper = _parse_tamper(args.tamper)
-    if tamper is not None and tamper[1] > order:
-        raise CliUsageError(f"--tamper index {tamper[1]} outside orders 0..{order}")
+    if tamper is not None and not 0 <= tamper[1] <= order:
+        raise ValueError(f"--tamper index {tamper[1]} outside orders 0..{order}")
     reports = run_all(order=order, k_max=k_max, seed=seed, tamper=tamper)
     all_ok = all(r.verified for r in reports)
     lines = [r.summary_line() for r in reports]
@@ -364,35 +355,26 @@ def _cmd_colors(args: argparse.Namespace) -> Result:
     total = sum(classes.values())
     # Only the classical products are shown; the three-valued ones are checked.
     shown = sem.radix == 2
-    plain = [f"root-split color classes, n={n} [{sem.name}]"]
-    csv = ["left,right,count" + (",convolution" if shown else "")]
-    for a, b in keys:
-        plain.append(
-            f"left={a} right={b}: {classes[a, b]}"
-            + (f" (convolution {products[a, b]})" if shown else "")
-        )
-        csv.append(f"{a},{b},{classes[a, b]}" + (f",{products[a, b]}" if shown else ""))
-    plain.append(f"total {total}")
-    if shown or not agree:
-        plain.append(
-            "classes match convolutions" if agree else "MISMATCH with convolutions"
-        )
+    rows = [(a, b, classes[a, b], products[a, b] if shown else None) for a, b in keys]
+    if args.format == "csv":
+        lines = ["left,right,count" + (",convolution" if shown else "")]
+        lines += [",".join(map(str, row if shown else row[:3])) for row in rows]
+    else:
+        lines = [f"root-split color classes, n={n} [{sem.name}]"]
+        lines += [
+            f"left={a} right={b}: {count}" + (f" (convolution {conv})" if shown else "")
+            for a, b, count, conv in rows
+        ]
+        lines.append(f"total {total}")
+        if shown or not agree:
+            lines.append("classes match convolutions" if agree else "MISMATCH with convolutions")
     payload = {
         "n": n,
         "semantics": sem.name,
-        "classes": [
-            {
-                "left": a,
-                "right": b,
-                "count": classes[a, b],
-                "convolution": products[a, b] if shown else None,
-            }
-            for a, b in keys
-        ],
+        "classes": [dict(zip(("left", "right", "count", "convolution"), row)) for row in rows],
         "total": total,
         "agree": agree,
     }
-    lines = plain if args.format == "plain" else csv
     return (0 if agree else 1), _render(args.format, payload, lines)
 
 
@@ -468,15 +450,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             try:
                 destination = open(args.output, "w", encoding="ascii")
             except OSError as exc:
-                raise CliUsageError(
-                    f"cannot open --output {args.output}: {exc.strerror or exc}"
-                )
+                raise ValueError(f"cannot open --output {args.output}: {exc.strerror or exc}")
         with destination as out:
             code, chunks = args.handler(args)
             out.writelines(chunks)
         sys.stdout.flush()
         return code
-    except (CliUsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetError as exc:

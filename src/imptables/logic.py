@@ -9,8 +9,6 @@ on {0, 1}, so both semantics share one outcome table.
 Everything in this module counts exactly, with Python integers.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import operator

@@ -30,8 +30,6 @@ suite pins separately; multiplying by t^(k-1) and adding back x*t^(k-1)
 reconstructs t^k.
 """
 
-from __future__ import annotations
-
 import itertools
 import random
 from fractions import Fraction
@@ -39,13 +37,13 @@ from functools import reduce
 from operator import mul
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .logic import CLASSICAL, KLEENE, Semantics, _Record, color_class_counts
-from .series import PowerSeries, closed_form
+from .logic import CLASSICAL, _Record, color_class_counts
+from .series import CLASSICAL_SERIES, KLEENE_SERIES, PowerSeries, closed_form
 
-GENERATORS = {"kleene": ("t", "f", "u"), "classical": ("r", "s")}
-TOTALS = {"kleene": "g", "classical": "g2"}
 # Every series a realizer expands, by logic: the generators, then the total.
-SERIES = {logic: names + (TOTALS[logic],) for logic, names in GENERATORS.items()}
+SERIES = {"kleene": KLEENE_SERIES, "classical": CLASSICAL_SERIES}
+GENERATORS = {logic: names[:-1] for logic, names in SERIES.items()}
+TOTALS = {logic: names[-1] for logic, names in SERIES.items()}
 
 Tamper = tuple[str, int, int]
 
@@ -59,10 +57,6 @@ COLOR_N_MAX = 6
 IDEAL_POWER_CAP = 3
 SUBSTITUTION_EXTRA_CAP = 3
 SUBSTITUTION_POWER_CAP = 3
-
-
-def _semantics(logic: str) -> Semantics:
-    return KLEENE if logic == "kleene" else CLASSICAL
 
 
 class MonoidElement(_Record):
@@ -169,6 +163,17 @@ class VerificationReport(_Record):
         return line
 
 
+def _check_tamper(tamper: Optional[Tamper], names: Sequence[str], order: int, owner: str) -> None:
+    """Reject a tamper whose target is not one of ``names`` (described as
+    ``owner``) or whose index lies outside 0..order."""
+    if tamper is not None:
+        name, index, _ = tamper
+        if name not in names:
+            raise ValueError(f"tamper target {name!r} is not {owner}")
+        if not 0 <= index <= order:
+            raise ValueError(f"tamper index {index} outside orders 0..{order}")
+
+
 class Realizer:
     """Expands monoid elements into exact truncated power series.
 
@@ -186,33 +191,25 @@ class Realizer:
             raise ValueError(f"order must be at least 2 to check anything, got {order}")
         self.logic = logic
         self.order = order
-        self.semantics = _semantics(logic)
         names = SERIES[logic]
+        _check_tamper(tamper, names, order, f"a {logic} series (have {sorted(names)})")
+        series = {name: closed_form(name, order) for name in names}
         if tamper is not None:
             name, index, delta = tamper
-            if name not in names:
-                raise ValueError(
-                    f"tamper target {name!r} is not a {logic} series (have {sorted(names)})"
-                )
-            if not 0 <= index <= order:
-                raise ValueError(f"tamper index {index} outside orders 0..{order}")
-        self._series = {name: closed_form(name, order) for name in names}
-        if tamper is not None:
-            coeffs = list(self._series[name].coeffs)
+            coeffs = list(series[name].coeffs)
             coeffs[index] += delta
-            self._series[name] = PowerSeries(coeffs)
+            series[name] = PowerSeries(coeffs)
         self._powers: dict[str, list[PowerSeries]] = {
-            name: [PowerSeries.identity(order), series]
-            for name, series in self._series.items()
+            name: [PowerSeries.identity(order), s] for name, s in series.items()
         }
         self._realized: dict[tuple[int, ...], PowerSeries] = {}
         self._products: dict[tuple[tuple[int, ...], tuple[int, ...]], PowerSeries] = {}
 
     def series(self, name: str) -> PowerSeries:
-        return self._series[name]
+        return self._powers[name][1]
 
     def total(self) -> PowerSeries:
-        return self._series[TOTALS[self.logic]]
+        return self.series(TOTALS[self.logic])
 
     def power(self, name: str, k: int) -> PowerSeries:
         if k < 0:
@@ -545,7 +542,7 @@ def verify_partitions(realizer: Realizer) -> VerificationReport:
             {},
         )
         for n in range(2, color_n + 1):
-            classes = color_class_counts(n, realizer.semantics)
+            classes = color_class_counts(n, CLASSICAL)
             for key, series in quadrants.items():
                 yield (
                     {n: classes[key]},
@@ -661,15 +658,12 @@ def run_all(
 
     A tamper triple applies to whichever logic owns the named series;
     the other logic runs clean.  A tamper that names no series of
-    either logic, or an index outside 0..order, raises ValueError
-    before anything is expanded.
+    either logic, an index outside 0..order, or k_max below 2 raises
+    ValueError before anything is expanded.
     """
-    if tamper is not None:
-        name, index, _ = tamper
-        if not any(name in names for names in SERIES.values()):
-            raise ValueError(f"tamper target {name!r} is not a series of either logic")
-        if not 0 <= index <= order:
-            raise ValueError(f"tamper index {index} outside orders 0..{order}")
+    _check_tamper(tamper, KLEENE_SERIES + CLASSICAL_SERIES, order, "a series of either logic")
+    if k_max < 2:
+        raise ValueError(f"k_max must be at least 2, got {k_max}")
     reports: list[VerificationReport] = []
     for logic, names in SERIES.items():
         local_tamper = tamper if tamper is not None and tamper[0] in names else None

@@ -22,8 +22,6 @@ three-valued semantics and 3 in classical, one of them a square formed
 from half its products, against 9 and 4 for one per (a, b) pair.
 """
 
-from __future__ import annotations
-
 from operator import mul
 
 from .logic import CLASSICAL, KLEENE, Semantics, _Record, implies

@@ -26,8 +26,6 @@ roots' 2*y0, the closed forms' 6, 4 and 2) is exact integer division whenever
 the quotient is whole, so building them forms no `Fraction` at all.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 from fractions import Fraction
@@ -236,10 +234,9 @@ class PowerSeries:
 
 # --- closed forms of the count series ---------------------------------------
 
-SERIES_NAMES = ("t", "f", "u", "g", "r", "s", "g2", "i")
-
 KLEENE_SERIES = ("t", "f", "u", "g")
 CLASSICAL_SERIES = ("r", "s", "g2")
+SERIES_NAMES = KLEENE_SERIES + CLASSICAL_SERIES + ("i",)
 
 _DESCRIPTIONS = {
     "t": "true entries, three-valued",

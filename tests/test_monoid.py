@@ -484,6 +484,29 @@ class TestRunAll:
             run_all(order=8, k_max=2, tamper=tamper)
         assert calls == []
 
+    @pytest.mark.parametrize("tamper", [("t", 0, 1), ("t", 8, 1), ("s", 8, 1)])
+    def test_tamper_at_either_end_of_the_range_is_applied(self, tamper):
+        # 0 and the order itself are both inside the range: the coefficient
+        # is shifted and the owning logic's partition claim sees it.
+        logic = "kleene" if tamper[0] == "t" else "classical"
+        reports = {r.claim: r for r in run_all(order=8, k_max=2, tamper=tamper)}
+        assert not reports[f"partitions[{logic}]"].verified
+        assert reports[f"partitions[{logic}]"].witness.n == tamper[1]
+
+    def test_k_max_below_two_rejected_before_any_expansion(self, monkeypatch):
+        # Left to verify_power_identities, k_max would be rejected only
+        # after the first four Kleene claims had run.
+        calls = []
+
+        def expand(name, order):
+            calls.append(name)
+            return closed_form(name, order)
+
+        monkeypatch.setattr("imptables.monoid.closed_form", expand)
+        with pytest.raises(ValueError, match="k_max must be at least 2, got 1"):
+            run_all(order=20, k_max=1)
+        assert calls == []
+
     def test_tamper_hits_only_owning_logic(self):
         reports = run_all(order=12, k_max=3, seed=0, tamper=("t", 3, 1))
         failed = [r for r in reports if not r.verified]
