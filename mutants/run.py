@@ -35,6 +35,25 @@ RECURRENCES = "src/imptables/recurrences.py"
 MONOID = "src/imptables/monoid.py"
 CLI = "src/imptables/cli.py"
 
+# Claim index ranges that two mutants each shift, and the tests that pin
+# both ends of a range.
+ASSOCIATIVITY_RANGE = """    every_n = range(realizer.order + 1)
+    cases = (
+        (
+            (realizer.product(a, b) * realizer.realize(c)).coeffs,
+"""
+IDEAL_RANGE = """    above_one = range(2, realizer.order + 1)
+    elements = tuple(elements)
+"""
+SQUARE_RANGE = """            range(2, order + 1),
+            "g2^2 vs g2",
+"""
+IDEAL_ENDS = "tests/test_monoid.py::TestIdealAndSubstitution::test_ideal_samples_checked_at_both_ends"
+SQUARE_ENDS = (
+    "tests/test_monoid.py::TestPartitions::test_square_checked_against_the_total_at_both_ends"
+)
+COLOR_ENDS = "tests/test_monoid.py::TestPartitions::test_color_classes_checked_at_both_ends"
+
 # name, file, exact old text, new text, tests that must fail.
 MUTANTS = [
     (
@@ -74,8 +93,8 @@ def counts_by_recurrence(n_max: int, sem: Semantics) -> SequenceTable:
     (
         "import from series into logic",
         LOGIC,
-        "from typing import Any, Callable, Iterator, Sequence, Union\n",
-        "from typing import Any, Callable, Iterator, Sequence, Union\n\n"
+        "from collections.abc import Callable, Iterator, Sequence\n",
+        "from collections.abc import Callable, Iterator, Sequence\n\n"
         "from .series import PowerSeries\n",
         ["tests/test_logic.py::TestBruteForceIndependence"],
     ),
@@ -265,14 +284,14 @@ _ROWS = [bytes(row).ljust(256, b"\\0") for row in _IMPLIES_TABLE]
     order: int = 40,
     k_max: int = 6,
     seed: int = 0,
-    tamper: Optional[Tamper] = None,
+    tamper: Tamper | None = None,
 ) -> list[VerificationReport]:
     \"\"\"Run every verification suite for both logics and collect reports.
 
     A tamper triple applies to whichever logic owns the named series;
     the other logic runs clean.  A tamper that names no series of
-    either logic, an index outside 0..order, or k_max below 2 raises
-    ValueError before anything is expanded.
+    either logic, an index outside 0..order, a zero delta, or k_max
+    below 2 raises ValueError before anything is expanded.
     \"\"\"
     _check_tamper(tamper, KLEENE_SERIES + CLASSICAL_SERIES, order, "a series of either logic")
     if k_max < 2:
@@ -294,14 +313,14 @@ def run_all(
     order: int = 40,
     k_max: int = 6,
     seed: int = 0,
-    tamper: Optional[Tamper] = None,
+    tamper: Tamper | None = None,
 ) -> list[VerificationReport]:
     \"\"\"Run every verification suite for both logics and collect reports.
 
     A tamper triple applies to whichever logic owns the named series;
     the other logic runs clean.  A tamper that names no series of
-    either logic, an index outside 0..order, or k_max below 2 raises
-    ValueError before anything is expanded.
+    either logic, an index outside 0..order, a zero delta, or k_max
+    below 2 raises ValueError before anything is expanded.
     \"\"\"
     _check_tamper(tamper, KLEENE_SERIES + CLASSICAL_SERIES, order, "a series of either logic")
     if k_max < 2:
@@ -342,6 +361,127 @@ def run_all(
             "tests/test_monoid.py::TestCommutativityAndAssociativity"
             "::test_commutativity_checks_the_top_coefficient"
         ],
+    ),
+    (
+        "zero-delta tamper accepted",
+        MONOID,
+        """        if delta == 0:
+            raise ValueError(f"tamper delta must be nonzero, got {delta}")
+""",
+        "",
+        [
+            "tests/test_golden.py::test_golden[error_monoid_tamper_zero_delta]",
+            "tests/test_monoid.py::TestRealizer::test_zero_delta_rejected_before_any_expansion",
+        ],
+    ),
+    (
+        "commutativity without its constant coefficient",
+        MONOID,
+        """    every_n = range(realizer.order + 1)
+    cases = (
+        (
+            realizer.product(a, b).coeffs,
+""",
+        """    every_n = range(1, realizer.order + 1)
+    cases = (
+        (
+            realizer.product(a, b).coeffs,
+""",
+        [
+            "tests/test_monoid.py::TestCommutativityAndAssociativity"
+            "::test_commutativity_checks_the_constant_coefficient"
+        ],
+    ),
+    (
+        "associativity without its top coefficient",
+        MONOID,
+        ASSOCIATIVITY_RANGE,
+        ASSOCIATIVITY_RANGE.replace("range(realizer.order + 1)", "range(realizer.order)"),
+        [
+            "tests/test_monoid.py::TestCommutativityAndAssociativity"
+            "::test_associativity_checks_the_top_coefficient"
+        ],
+    ),
+    (
+        "associativity without its constant coefficient",
+        MONOID,
+        ASSOCIATIVITY_RANGE,
+        ASSOCIATIVITY_RANGE.replace("range(realizer.order + 1)", "range(1, realizer.order + 1)"),
+        [
+            "tests/test_monoid.py::TestCommutativityAndAssociativity"
+            "::test_associativity_checks_the_constant_coefficient"
+        ],
+    ),
+    (
+        "bound without its top coefficient",
+        MONOID,
+        "above_one = range(2, order + 1)",
+        "above_one = range(2, order)",
+        ["tests/test_monoid.py::TestBound::test_bound_checks_the_top_coefficient"],
+    ),
+    (
+        "ideal containment without its top coefficient",
+        MONOID,
+        IDEAL_RANGE,
+        IDEAL_RANGE.replace("range(2, realizer.order + 1)", "range(2, realizer.order)"),
+        [IDEAL_ENDS],
+    ),
+    (
+        "ideal containment from n = 3",
+        MONOID,
+        IDEAL_RANGE,
+        IDEAL_RANGE.replace("range(2, realizer.order + 1)", "range(3, realizer.order + 1)"),
+        [IDEAL_ENDS],
+    ),
+    (
+        "substitution bounds from n = 3",
+        MONOID,
+        """    above_one = range(2, realizer.order + 1)
+    families = (
+""",
+        """    above_one = range(3, realizer.order + 1)
+    families = (
+""",
+        ["tests/test_monoid.py::TestIdealAndSubstitution::test_domination_checked_from_n_two"],
+    ),
+    (
+        "g2^2 against g2 without its top coefficient",
+        MONOID,
+        SQUARE_RANGE,
+        SQUARE_RANGE.replace("range(2, order + 1)", "range(2, order)"),
+        [SQUARE_ENDS],
+    ),
+    (
+        "g2^2 against g2 from n = 3",
+        MONOID,
+        SQUARE_RANGE,
+        SQUARE_RANGE.replace("range(2, order + 1)", "range(3, order + 1)"),
+        [SQUARE_ENDS],
+    ),
+    (
+        "color classes without the largest n",
+        MONOID,
+        "for n in range(2, color_n + 1):",
+        "for n in range(2, color_n):",
+        [COLOR_ENDS],
+    ),
+    (
+        "color classes from n = 3",
+        MONOID,
+        "for n in range(2, color_n + 1):",
+        "for n in range(3, color_n + 1):",
+        [COLOR_ENDS],
+    ),
+    (
+        "power identities from n = 1",
+        MONOID,
+        """    every_n = range(realizer.order + 1)
+    f, g = realizer.series("f"), realizer.series("g")
+""",
+        """    every_n = range(1, realizer.order + 1)
+    f, g = realizer.series("f"), realizer.series("g")
+""",
+        ["tests/test_monoid.py::TestPowerIdentities::test_identity_broken_at_the_constant_term"],
     ),
     (
         "power identities without their top coefficient",

@@ -40,7 +40,7 @@ import argparse
 import contextlib
 import os
 import sys
-from typing import Iterable, Iterator, Optional, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .logic import (
     Bracketing,
@@ -81,12 +81,12 @@ def run_all(**kwargs) -> list:
 
 def _setting(
     flag: str,
-    value: Optional[int],
-    env: Optional[str] = None,
-    default: Optional[int] = None,
-    floor: Optional[int] = None,
+    value: int | None,
+    env: str | None = None,
+    default: int | None = None,
+    floor: int | None = None,
     why: str = "",
-) -> Optional[int]:
+) -> int | None:
     """One integer setting: the flag's value if given, else the environment
     variable ``env`` if set and nonempty, else ``default``.
 
@@ -274,7 +274,7 @@ def _cmd_verify(args: argparse.Namespace) -> Result:
 # --- monoid ------------------------------------------------------------------
 
 
-def _parse_tamper(raw: Optional[str]) -> Optional[tuple[str, int, int]]:
+def _parse_tamper(raw: str | None) -> tuple[str, int, int] | None:
     if raw is None:
         return None
     parts = raw.split(":")
@@ -290,7 +290,7 @@ def _parse_tamper(raw: Optional[str]) -> Optional[tuple[str, int, int]]:
     return (name, index, delta)
 
 
-def _witness_json(witness) -> Optional[dict]:
+def _witness_json(witness) -> dict | None:
     """A witness with integral sides as ints and fractional ones as strings."""
     if witness is None:
         return None
@@ -441,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.output is None:

@@ -12,7 +12,7 @@ Everything in this module counts exactly, with Python integers.
 import itertools
 import math
 import operator
-from typing import Any, Callable, Iterator, Sequence, Union
+from collections.abc import Callable, Iterator, Sequence
 
 FALSE = 0
 TRUE = 1
@@ -52,7 +52,7 @@ class _Record:
         # dict lookup.
         cls._astuple = staticmethod(get if len(fields) > 1 else lambda r: (get(r),))
 
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
+    def __init__(self, *args: object, **kwargs: object) -> None:
         fields = self.__slots__
         if len(args) + len(kwargs) != len(fields):
             raise TypeError(f"{type(self).__name__} takes the fields {fields}")
@@ -140,15 +140,8 @@ class Node(_Record):
     left: "Bracketing"
     right: "Bracketing"
 
-    def __init__(self, left: "Bracketing", right: "Bracketing") -> None:
-        # Spelled out rather than `_Record.__init__`, which takes any
-        # arguments and costs nearly twice as much: `enumerate_bracketings`
-        # and `_unrank` build trees in bulk.
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
 
-
-Bracketing = Union[Leaf, Node]
+Bracketing = Leaf | Node
 
 
 def leaf_count(tree: Bracketing) -> int:
@@ -191,10 +184,10 @@ def enumerate_bracketings(n: int) -> tuple[Bracketing, ...]:
 
 def _bracketings(
     n: int,
-    leaf: Callable[[int], Any],
-    node: Callable[[Any, Any], Any],
-    root: Callable[[Any, Any], Any] | None = None,
-) -> Iterator[Any]:
+    leaf: Callable[[int], object],
+    node: Callable[[object, object], object],
+    root: Callable[[object, object], object] | None = None,
+) -> Iterator[object]:
     """Every bracketing of ``p1 => ... => pn``, in canonical order.
 
     ``leaf(i)`` stands for variable i and ``node(left, right)`` for an
@@ -322,7 +315,7 @@ class CountVector(_Record):
     u: int
     g: int
 
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
+    def __init__(self, *args: object, **kwargs: object) -> None:
         super().__init__(*args, **kwargs)
         if self.t + self.f + self.u != self.g:
             raise ValueError(
@@ -376,8 +369,8 @@ def _leaf_planes(index: int, n: int, sem: Semantics) -> list[int]:
 
 
 def _plane_bracketings(
-    n: int, sem: Semantics, root: Callable[[Any, Any], Any] | None = None
-) -> Iterator[Any]:
+    n: int, sem: Semantics, root: Callable[[object, object], object] | None = None
+) -> Iterator[object]:
     """`_bracketings` of n over bit-planes, in canonical order: each
     bracketing's planes, or ``root(left planes, right planes)``.
     """

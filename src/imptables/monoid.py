@@ -32,10 +32,10 @@ reconstructs t^k.
 
 import itertools
 import random
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import reduce
-from operator import mul
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
+from operator import eq, mul
 
 from .logic import CLASSICAL, _Record, color_class_counts
 from .series import CLASSICAL_SERIES, KLEENE_SERIES, PowerSeries, closed_form
@@ -70,7 +70,7 @@ class MonoidElement(_Record):
     logic: str
     exponents: tuple[int, ...]
 
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
+    def __init__(self, *args: object, **kwargs: object) -> None:
         super().__init__(*args, **kwargs)
         if self.logic not in GENERATORS:
             raise ValueError(f"logic must be 'kleene' or 'classical', got {self.logic!r}")
@@ -129,8 +129,8 @@ class Witness(_Record):
 
     __slots__ = ("n", "lhs", "rhs", "context")
     n: int
-    lhs: Union[int, Fraction]
-    rhs: Union[int, Fraction]
+    lhs: int | Fraction
+    rhs: int | Fraction
     context: str
 
 
@@ -142,7 +142,7 @@ class VerificationReport(_Record):
     detail: str
     order: int
     verified: bool
-    witness: Optional[Witness]
+    witness: Witness | None
 
     def __init__(
         self,
@@ -150,7 +150,7 @@ class VerificationReport(_Record):
         detail: str,
         order: int,
         verified: bool,
-        witness: Optional[Witness] = None,
+        witness: Witness | None = None,
     ) -> None:
         super().__init__(claim, detail, order, verified, witness)
 
@@ -163,15 +163,18 @@ class VerificationReport(_Record):
         return line
 
 
-def _check_tamper(tamper: Optional[Tamper], names: Sequence[str], order: int, owner: str) -> None:
+def _check_tamper(tamper: Tamper | None, names: Sequence[str], order: int, owner: str) -> None:
     """Reject a tamper whose target is not one of ``names`` (described as
-    ``owner``) or whose index lies outside 0..order."""
+    ``owner``), whose index lies outside 0..order, or whose delta is 0 (a
+    negative control that changes nothing cannot fail)."""
     if tamper is not None:
-        name, index, _ = tamper
+        name, index, delta = tamper
         if name not in names:
             raise ValueError(f"tamper target {name!r} is not {owner}")
         if not 0 <= index <= order:
             raise ValueError(f"tamper index {index} outside orders 0..{order}")
+        if delta == 0:
+            raise ValueError(f"tamper delta must be nonzero, got {delta}")
 
 
 class Realizer:
@@ -180,11 +183,11 @@ class Realizer:
     Generator and total series come from the closed forms; integer
     powers of each are memoized, as are fully realized elements and
     ordered products of two elements, for as long as the realizer lives.
-    The optional `tamper` triple (name, index, delta) adds delta to one
-    coefficient of one named series, for negative-control runs.
+    The optional `tamper` triple (name, index, delta) adds a nonzero delta
+    to one coefficient of one named series, for negative-control runs.
     """
 
-    def __init__(self, logic: str, order: int, tamper: Optional[Tamper] = None):
+    def __init__(self, logic: str, order: int, tamper: Tamper | None = None):
         if logic not in GENERATORS:
             raise ValueError(f"logic must be 'kleene' or 'classical', got {logic!r}")
         if order < 2:
@@ -303,10 +306,6 @@ Case = tuple[
 ]
 
 
-def _equal(lhs, rhs) -> bool:
-    return lhs == rhs
-
-
 def _below_total(c, g) -> bool:
     """A nonnegative integer strictly below the total's coefficient."""
     return c.denominator == 1 and 0 <= c < g
@@ -345,7 +344,7 @@ def verify_commutativity(
         (
             realizer.product(a, b).coeffs,
             realizer.product(b, a).coeffs,
-            _equal,
+            eq,
             every_n,
             "({a})*({b}) vs ({b})*({a})",
             "product order changed a result among {count} pairs",
@@ -375,7 +374,7 @@ def verify_associativity(
         (
             (realizer.product(a, b) * realizer.realize(c)).coeffs,
             (realizer.realize(a) * realizer.product(b, c)).coeffs,
-            _equal,
+            eq,
             every_n,
             "(({a})*({b}))*({c}) vs ({a})*(({b})*({c}))",
             "association order changed a result among {count} triples",
@@ -446,7 +445,7 @@ def verify_power_identities(realizer: Realizer, k_max: int) -> VerificationRepor
             yield (
                 (3 * power("u", k)).coeffs,
                 (power("u", k - 1) - power("u", k - 2).shift()).coeffs,
-                _equal,
+                eq,
                 every_n,
                 f"3u^{k} vs u^{k - 1} - x*u^{k - 2}",
                 broke,
@@ -456,7 +455,7 @@ def verify_power_identities(realizer: Realizer, k_max: int) -> VerificationRepor
             yield (
                 power("f", k).coeffs,
                 (2 * (fk1 * realizer.series("u")) - fk1 + power("f", k - 2).shift()).coeffs,
-                _equal,
+                eq,
                 every_n,
                 f"f^{k} vs 2f^{k - 1}u - f^{k - 1} + x*f^{k - 2}",
                 broke,
@@ -472,7 +471,7 @@ def verify_power_identities(realizer: Realizer, k_max: int) -> VerificationRepor
             yield (
                 power("t", k).coeffs,
                 t_rhs.coeffs,
-                _equal,
+                eq,
                 every_n,
                 f"t^{k} vs (2/3)t^{k - 1}g^2 - (2/3)t^{k - 1}gf + t^{k - 1}f^2 + x*t^{k - 1}",
                 broke,
@@ -504,8 +503,8 @@ def verify_partitions(realizer: Realizer) -> VerificationReport:
         t, f, u = (realizer.series(name) for name in ("t", "f", "u"))
         g = realizer.total().coeffs
         cases = [
-            ((t + f + u).coeffs, g, _equal, every_n, "t + f + u vs g", "t + f + u missed g", {}),
-            ((3 * u).coeffs, g, _equal, every_n, "3u vs g", "3u missed g", {}),
+            ((t + f + u).coeffs, g, eq, every_n, "t + f + u vs g", "t + f + u missed g", {}),
+            ((3 * u).coeffs, g, eq, every_n, "3u vs g", "3u missed g", {}),
         ]
         return _check(claim, order, cases, "t + f + u = g and g = 3u coefficientwise")
 
@@ -514,7 +513,7 @@ def verify_partitions(realizer: Realizer) -> VerificationReport:
     color_n = min(COLOR_N_MAX, order)
 
     def classical_cases() -> Iterator[Case]:
-        yield (r + s).coeffs, g2, _equal, every_n, "r + s vs g2", "r + s missed g2", {}
+        yield (r + s).coeffs, g2, eq, every_n, "r + s vs g2", "r + s missed g2", {}
         quadrants = {
             (1, 1): r * r,
             (1, 0): r * s,
@@ -526,7 +525,7 @@ def verify_partitions(realizer: Realizer) -> VerificationReport:
         yield (
             four_sum.coeffs,
             square,
-            _equal,
+            eq,
             every_n,
             "rr + rs + sr + ss vs g2^2",
             "the four convolutions missed g2^2",
@@ -535,7 +534,7 @@ def verify_partitions(realizer: Realizer) -> VerificationReport:
         yield (
             square,
             g2,
-            _equal,
+            eq,
             range(2, order + 1),
             "g2^2 vs g2",
             "g2^2 diverged from g2 at n >= 2",
@@ -547,7 +546,7 @@ def verify_partitions(realizer: Realizer) -> VerificationReport:
                 yield (
                     {n: classes[key]},
                     series.coeffs,
-                    _equal,
+                    eq,
                     (n,),
                     f"color class {key} at n={n}",
                     "brute-force color classes disagreed with the convolutions",
@@ -652,14 +651,14 @@ def run_all(
     order: int = 40,
     k_max: int = 6,
     seed: int = 0,
-    tamper: Optional[Tamper] = None,
+    tamper: Tamper | None = None,
 ) -> list[VerificationReport]:
     """Run every verification suite for both logics and collect reports.
 
     A tamper triple applies to whichever logic owns the named series;
     the other logic runs clean.  A tamper that names no series of
-    either logic, an index outside 0..order, or k_max below 2 raises
-    ValueError before anything is expanded.
+    either logic, an index outside 0..order, a zero delta, or k_max
+    below 2 raises ValueError before anything is expanded.
     """
     _check_tamper(tamper, KLEENE_SERIES + CLASSICAL_SERIES, order, "a series of either logic")
     if k_max < 2:

@@ -28,11 +28,11 @@ the quotient is whole, so building them forms no `Fraction` at all.
 
 import functools
 import math
+from collections.abc import Iterable
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Union
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 
 class ConsistencyError(Exception):
@@ -234,38 +234,34 @@ class PowerSeries:
 
 # --- closed forms of the count series ---------------------------------------
 
-KLEENE_SERIES = ("t", "f", "u", "g")
-CLASSICAL_SERIES = ("r", "s", "g2")
-SERIES_NAMES = KLEENE_SERIES + CLASSICAL_SERIES + ("i",)
+# The radicals of each logic, s = sqrt(1 - a*x) and w = sqrt(b + c*x + d*s),
+# as (a, b, c, d).
+_RADICALS = {"kleene": (12, 5, 24, 4), "classical": (8, 2, 8, 2)}
 
-_DESCRIPTIONS = {
-    "t": "true entries, three-valued",
-    "f": "false entries, three-valued",
-    "u": "unknown entries, three-valued",
-    "g": "all entries, three-valued",
-    "r": "true entries, classical",
-    "s": "false entries, classical",
-    "g2": "all entries, classical",
-    "i": "multiplicative identity",
+# One row per count series: its logic, its description, and (c, cs, cw, d)
+# for its closed form (c + cs*s + cw*w) / d over that logic's radicals.
+_COUNT_SERIES = {
+    "t": ("kleene", "true entries, three-valued", (4, -1, -1, 6)),
+    "f": ("kleene", "false entries, three-valued", (-2, -1, 1, 6)),
+    "u": ("kleene", "unknown entries, three-valued", (1, -1, 0, 6)),
+    "g": ("kleene", "all entries, three-valued", (1, -1, 0, 2)),
+    "r": ("classical", "true entries, classical", (3, -1, -1, 4)),
+    "s": ("classical", "false entries, classical", (-1, -1, 1, 4)),
+    "g2": ("classical", "all entries, classical", (1, -1, 0, 2)),
 }
+KLEENE_SERIES = tuple(name for name, row in _COUNT_SERIES.items() if row[0] == "kleene")
+CLASSICAL_SERIES = tuple(name for name, row in _COUNT_SERIES.items() if row[0] == "classical")
+SERIES_NAMES = (*_COUNT_SERIES, "i")
 
 
-@functools.lru_cache(maxsize=4)
-def _kleene_radicals(order: int) -> tuple[PowerSeries, PowerSeries]:
+@functools.lru_cache(maxsize=8)
+def _radicals(logic: str, order: int) -> tuple[PowerSeries, PowerSeries]:
+    a, b, c, d = _RADICALS[logic]
     one = PowerSeries.identity(order)
     x = PowerSeries.x(order)
-    s = (one - 12 * x).sqrt()
-    w = (5 * one + 24 * x + 4 * s).sqrt()
+    s = (one - a * x).sqrt()
+    w = (b * one + c * x + d * s).sqrt()
     return s, w
-
-
-@functools.lru_cache(maxsize=4)
-def _classical_radicals(order: int) -> tuple[PowerSeries, PowerSeries]:
-    one = PowerSeries.identity(order)
-    x = PowerSeries.x(order)
-    s2 = (one - 8 * x).sqrt()
-    w2 = (2 * one + 2 * s2 + 8 * x).sqrt()
-    return s2, w2
 
 
 def closed_form(name: str, order: int) -> PowerSeries:
@@ -280,27 +276,11 @@ def closed_form(name: str, order: int) -> PowerSeries:
         raise ValueError(f"unknown series {name!r}; choose from {', '.join(SERIES_NAMES)}")
     if order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
-    one = PowerSeries.identity(order)
     if key == "i":
-        return one
-    if key in KLEENE_SERIES:
-        s, w = _kleene_radicals(order)
-        if key == "u":
-            series = (one - s) / 6
-        elif key == "f":
-            series = (-2 * one - s + w) / 6
-        elif key == "t":
-            series = (4 * one - s - w) / 6
-        else:  # g
-            series = (one - s) / 2
-    else:
-        s2, w2 = _classical_radicals(order)
-        if key == "s":
-            series = (-1 * one - s2 + w2) / 4
-        elif key == "r":
-            series = (3 * one - s2 - w2) / 4
-        else:  # g2
-            series = (one - s2) / 2
+        return PowerSeries.identity(order)
+    logic, _, (c, cs, cw, d) = _COUNT_SERIES[key]
+    s, w = _radicals(logic, order)
+    series = (PowerSeries.constant(c, order) + cs * s + cw * w) / d
     _assert_count_series(series, key)
     return series
 
@@ -319,4 +299,5 @@ def _assert_count_series(series: PowerSeries, name: str) -> None:
 
 
 def series_description(name: str) -> str:
-    return _DESCRIPTIONS[name.lower()]
+    key = name.lower()
+    return "multiplicative identity" if key == "i" else _COUNT_SERIES[key][1]

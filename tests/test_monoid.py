@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from imptables.logic import color_class_counts
 from imptables.monoid import (
     GENERATORS,
     MonoidElement,
@@ -62,6 +63,34 @@ def asymmetric_product(monkeypatch):
         )
 
     monkeypatch.setattr(PowerSeries, "__mul__", product)
+
+
+def skew_products(monkeypatch, index):
+    """Series products exact except at x^index, where a*b gains a's own
+    coefficient: a*b and b*a, or (a*b)*c and a*(b*c), can then differ at
+    that index and nowhere below it."""
+    plain = PowerSeries.__mul__
+
+    def skewed(a, b):
+        coeffs = list(plain(a, b).coeffs)
+        coeffs[index] += a.coeffs[index]
+        return PowerSeries(coeffs)
+
+    monkeypatch.setattr(PowerSeries, "__mul__", skewed)
+
+
+def bend_closed_forms(monkeypatch, names, index, delta):
+    """The realizers' closed forms of ``names`` each shifted by delta at x^index."""
+
+    def expand(name, order):
+        series = closed_form(name, order)
+        if name not in names:
+            return series
+        coeffs = list(series.coeffs)
+        coeffs[index] += delta
+        return PowerSeries(coeffs)
+
+    monkeypatch.setattr("imptables.monoid.closed_form", expand)
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +206,19 @@ class TestRealizer:
         with pytest.raises(ValueError, match="tamper"):
             Realizer("kleene", 10, tamper=tamper)
 
+    def test_zero_delta_rejected_before_any_expansion(self, monkeypatch):
+        # A tamper that shifts nothing is a negative control that cannot fail.
+        def expand(name, order):
+            raise AssertionError("closed_form called before the tamper was checked")
+
+        monkeypatch.setattr("imptables.monoid.closed_form", expand)
+        for run in (
+            lambda: Realizer("kleene", 8, tamper=("t", 3, 0)),
+            lambda: run_all(order=8, k_max=2, tamper=("s", 3, 0)),
+        ):
+            with pytest.raises(ValueError, match="^tamper delta must be nonzero, got 0$"):
+                run()
+
     def test_tamper_shifts_one_coefficient(self):
         clean = Realizer("kleene", 10)
         bent = Realizer("kleene", 10, tamper=("t", 3, 5))
@@ -235,21 +277,42 @@ class TestCommutativityAndAssociativity:
 
     def test_commutativity_checks_the_top_coefficient(self, monkeypatch):
         realizer = Realizer("kleene", 8)
-        plain = PowerSeries.__mul__
-
-        def skewed(a, b):
-            # Exact except at x^order, where a*b gains a's top coefficient.
-            coeffs = list(plain(a, b).coeffs)
-            coeffs[-1] += a.coeffs[-1]
-            return PowerSeries(coeffs)
-
-        monkeypatch.setattr(PowerSeries, "__mul__", skewed)
+        skew_products(monkeypatch, 8)
         t = MonoidElement.from_powers("kleene", t=1)
         f = MonoidElement.from_powers("kleene", f=1)
         report = verify_commutativity(realizer, [(t, f)])
         assert not report.verified
         assert report.witness.n == 8
         assert report.witness.context == "(t)*(f) vs (f)*(t)"
+
+    def test_commutativity_checks_the_constant_coefficient(self, monkeypatch):
+        # Skewed at x^0, 1*t gains the identity's 1 and t*1 gains t's 0.
+        realizer = Realizer("kleene", 8)
+        skew_products(monkeypatch, 0)
+        t = MonoidElement.from_powers("kleene", t=1)
+        i = MonoidElement.identity("kleene")
+        report = verify_commutativity(realizer, [(i, t)])
+        assert report.witness == Witness(0, 1, 0, "(1)*(t) vs (t)*(1)")
+
+    def test_associativity_checks_the_top_coefficient(self, monkeypatch):
+        # Skewed at x^order, (t*f)*u exceeds t*(f*u) by [x^8](t*f), since
+        # t and u have no constant term: the sides differ at n = order alone.
+        realizer = Realizer("kleene", 8)
+        skew_products(monkeypatch, 8)
+        t, f, u = (MonoidElement.from_powers("kleene", **{name: 1}) for name in "tfu")
+        report = verify_associativity(realizer, [(t, f, u)])
+        assert not report.verified
+        assert report.witness.n == 8
+        assert report.witness.context == "((t)*(f))*(u) vs (t)*((f)*(u))"
+
+    def test_associativity_checks_the_constant_coefficient(self, monkeypatch):
+        # Skewed at x^0, (1*t)*1 gains 1 twice and 1*(t*1) once.
+        realizer = Realizer("kleene", 8)
+        skew_products(monkeypatch, 0)
+        t = MonoidElement.from_powers("kleene", t=1)
+        i = MonoidElement.identity("kleene")
+        report = verify_associativity(realizer, [(i, t, i)])
+        assert report.witness == Witness(0, 2, 1, "((1)*(t))*(1) vs (1)*((t)*(1))")
 
     def test_classical_sampled(self, classical_realizer):
         # The 21 grid vectors and the first 10 seeded ones.
@@ -283,6 +346,13 @@ class TestBound:
         assert report.witness.n == 3
         assert report.witness.lhs == 60
         assert report.witness.rhs == 54
+
+    def test_bound_checks_the_top_coefficient(self):
+        # t pushed onto the total at x^order and nowhere else.
+        g8 = closed_form("g", 8).coefficient(8)
+        bent = Realizer("kleene", 8, tamper=("t", 8, g8 - closed_form("t", 8).coefficient(8)))
+        report = verify_bound(bent, [MonoidElement.from_powers("kleene", t=1)])
+        assert report.witness == Witness(8, g8, g8, "[x^8](t) vs total")
 
     def test_fractional_coefficient_escapes_the_bound(self):
         # A tamper shifts by an integer, so only a stand-in can show that
@@ -330,6 +400,12 @@ class TestPowerIdentities:
         assert not report.verified
         assert report.witness is not None
 
+    def test_identity_broken_at_the_constant_term(self):
+        # u given the constant term 1: 3u^2 starts at 3 and u - x at 1.
+        bent = Realizer("kleene", 8, tamper=("u", 0, 1))
+        report = verify_power_identities(bent, 2)
+        assert report.witness == Witness(0, 3, 1, "3u^2 vs u^1 - x*u^0")
+
     def test_identity_broken_at_the_top_only(self):
         # f shifted at x^order alone: every power of f and every term of
         # the t identity lose the shift past the truncation, so only the
@@ -363,6 +439,31 @@ class TestPartitions:
         assert not report.verified
         assert report.witness.n == 5
 
+    @pytest.mark.parametrize("index", [2, 8])
+    def test_square_checked_against_the_total_at_both_ends(self, monkeypatch, index):
+        # r and g2 shifted together keep r + s = g2 and the four
+        # convolutions equal to g2^2, whose x^index coefficient does not
+        # see the shift (g2 has no constant term), so g2^2 first misses
+        # g2 at the shifted index.
+        bend_closed_forms(monkeypatch, ("r", "g2"), index, 1)
+        report = verify_partitions(Realizer("classical", 8))
+        assert not report.verified
+        assert (report.witness.n, report.witness.context) == (index, "g2^2 vs g2")
+
+    @pytest.mark.parametrize("bent_n", [2, 6])
+    def test_color_classes_checked_at_both_ends(self, monkeypatch, bent_n):
+        def classes(n, sem):
+            counts = color_class_counts(n, sem)
+            if n == bent_n:
+                counts[1, 1] += 1
+            return counts
+
+        monkeypatch.setattr("imptables.monoid.color_class_counts", classes)
+        report = verify_partitions(Realizer("classical", 8))
+        assert not report.verified
+        assert report.witness.n == bent_n
+        assert report.witness.context == f"color class (1, 1) at n={bent_n}"
+
 
 class TestIdealAndSubstitution:
     def test_ideal_samples(self, kleene_realizer):
@@ -373,6 +474,16 @@ class TestIdealAndSubstitution:
         )
         report = verify_ideal_samples(kleene_realizer, samples)
         assert report.verified
+
+    @pytest.mark.parametrize(
+        "coeffs, n", [((0, 1, 9, 30), 2), ((0, 1, 5, 54), 3)], ids=["n=2", "n=order"]
+    )
+    def test_ideal_samples_checked_at_both_ends(self, coeffs, n):
+        # Every product realizes to coeffs, which reach the total only at n.
+        realizer = FixedRealizer(PowerSeries(coeffs), PowerSeries([1, 3, 9, 54]))
+        report = verify_ideal_samples(realizer, [MonoidElement.identity("kleene")])
+        assert not report.verified
+        assert report.witness.n == n
 
     def test_substitution_bounds(self, kleene_realizer):
         report = verify_substitution_bounds(kleene_realizer)
@@ -385,6 +496,11 @@ class TestIdealAndSubstitution:
         report = verify_substitution_bounds(FixedRealizer(PowerSeries([1, 0, 0, 7])))
         assert not report.verified
         assert (report.witness.n, report.witness.lhs, report.witness.rhs) == (3, 7, 7)
+
+    def test_domination_checked_from_n_two(self):
+        # As above, with the equal nonzero pair at the first index checked.
+        report = verify_substitution_bounds(FixedRealizer(PowerSeries([1, 0, 7, 0])))
+        assert (report.witness.n, report.witness.lhs, report.witness.rhs) == (2, 7, 7)
 
     def test_substitution_requires_kleene(self, classical_realizer):
         with pytest.raises(ValueError):

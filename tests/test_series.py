@@ -12,9 +12,8 @@ from imptables.series import (
     SERIES_NAMES,
     ConsistencyError,
     PowerSeries,
-    _classical_radicals,
     _divide,
-    _kleene_radicals,
+    _radicals,
     closed_form,
     series_description,
 )
@@ -359,7 +358,7 @@ class TestClosedForms:
 
     def test_radicals_are_integral_to_order_300(self):
         # s = sqrt(1-12x), w = sqrt(5+24x+4s), s2 = sqrt(1-8x), w2 = sqrt(2+2s2+8x)
-        radicals = _kleene_radicals(300) + _classical_radicals(300)
+        radicals = _radicals("kleene", 300) + _radicals("classical", 300)
         for radical in radicals:
             assert radical.order == 300
             assert all(type(c) is int for c in radical.coeffs)
@@ -371,11 +370,11 @@ class TestClosedForms:
         assert w2 * w2 == 2 * one + 2 * s2 + 8 * x
 
     def test_radicals_built_once_per_order(self):
-        _kleene_radicals.cache_clear()
-        for name in KLEENE_SERIES:
+        _radicals.cache_clear()
+        for name in KLEENE_SERIES + CLASSICAL_SERIES:
             closed_form(name, 20)
-        info = _kleene_radicals.cache_info()
-        assert (info.misses, info.hits) == (1, len(KLEENE_SERIES) - 1)
+        info = _radicals.cache_info()
+        assert (info.misses, info.hits) == (2, len(KLEENE_SERIES + CLASSICAL_SERIES) - 2)
         assert info.maxsize is not None and info.maxsize <= 8
 
     def test_self_similarity(self):
@@ -394,8 +393,17 @@ class TestClosedForms:
             closed_form("t", 0)
 
     def test_descriptions_exist(self):
-        for name in SERIES_NAMES:
-            assert series_description(name)
+        assert (KLEENE_SERIES, CLASSICAL_SERIES) == (("t", "f", "u", "g"), ("r", "s", "g2"))
+        assert [(name, series_description(name.upper())) for name in SERIES_NAMES] == [
+            ("t", "true entries, three-valued"),
+            ("f", "false entries, three-valued"),
+            ("u", "unknown entries, three-valued"),
+            ("g", "all entries, three-valued"),
+            ("r", "true entries, classical"),
+            ("s", "false entries, classical"),
+            ("g2", "all entries, classical"),
+            ("i", "multiplicative identity"),
+        ]
 
 
 class TestIntegerExtraction:

@@ -67,8 +67,8 @@ def fresh_python(*argv):
     )
 
 
-def loaded_by(*cli_args):
-    proc = fresh_python("-c", PROBE, *cli_args)
+def loaded_by(*cli_args, flags=()):
+    proc = fresh_python(*flags, "-c", PROBE, *cli_args)
     return proc.returncode, proc.stdout, set(proc.stderr.splitlines()[-1].split())
 
 
@@ -133,6 +133,23 @@ class TestSubcommandImports:
         assert out.startswith(stdout)
         forbidden = {"imptables.monoid", "imptables.recurrences", "dataclasses", "__future__"}
         assert not forbidden & modules
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("series", "i", "--n", "1"),
+            ("table", "--n", "2"),
+            ("verify", "--n", "3"),
+            ("monoid", "--order", "4"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_no_module_loads_typing(self, argv):
+        # -S: a `site` that runs third-party .pth files may import typing
+        # itself, which would hide an import of it by the package.
+        code, _, modules = loaded_by(*argv, flags=("-S",))
+        assert code == 0
+        assert "typing" not in modules
 
     @pytest.mark.parametrize(
         "argv",
