@@ -505,6 +505,13 @@ def run_all(
         ["tests/test_monoid.py::TestPowerIdentities::test_identity_broken_at_the_top_only"],
     ),
     (
+        "a failing case reported as verified",
+        MONOID,
+        "claim, failed.format(count=count, **fields), order, False, witness",
+        "claim, failed.format(count=count, **fields), order, True, witness",
+        ["tests/test_monoid.py::TestBound::test_tampered_bound_fails"],
+    ),
+    (
         "environment value reported as the flag",
         CLI,
         """        source = f"environment variable {env}"

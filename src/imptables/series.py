@@ -151,11 +151,6 @@ class PowerSeries:
         """Multiply every coefficient by a scalar; the order is preserved."""
         return PowerSeries(factor * c for c in self.coeffs)
 
-    def __rmul__(self, factor: Scalar) -> "PowerSeries":
-        if isinstance(factor, (int, Fraction)):
-            return self.scale(factor)
-        return NotImplemented
-
     def __truediv__(self, divisor: Scalar) -> "PowerSeries":
         """Divide every coefficient exactly by a scalar; the order is preserved."""
         if isinstance(divisor, (int, Fraction)):
@@ -186,6 +181,9 @@ class PowerSeries:
         return PowerSeries(
             zeros + [sum(map(mul, head, rb[n - m :])) for m in range(va + vb, n + 1)]
         )
+
+    # A scalar on the left scales, as on the right; two series never get here.
+    __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "PowerSeries":
         if not isinstance(exponent, int) or exponent < 0:
@@ -254,6 +252,15 @@ CLASSICAL_SERIES = tuple(name for name, row in _COUNT_SERIES.items() if row[0] =
 SERIES_NAMES = (*_COUNT_SERIES, "i")
 
 
+def _series_key(name: str) -> str:
+    """The lower-cased ``name``, checked against SERIES_NAMES: the one check
+    of a series name, for `closed_form` and `series_description` alike."""
+    key = name.lower()
+    if key not in SERIES_NAMES:
+        raise ValueError(f"unknown series {name!r}; choose from {', '.join(SERIES_NAMES)}")
+    return key
+
+
 @functools.lru_cache(maxsize=8)
 def _radicals(logic: str, order: int) -> tuple[PowerSeries, PowerSeries]:
     a, b, c, d = _RADICALS[logic]
@@ -271,9 +278,7 @@ def closed_form(name: str, order: int) -> PowerSeries:
     Count series are checked to have integer coefficients, no constant
     term, and no negative entries; a violation raises ConsistencyError.
     """
-    key = name.lower()
-    if key not in SERIES_NAMES:
-        raise ValueError(f"unknown series {name!r}; choose from {', '.join(SERIES_NAMES)}")
+    key = _series_key(name)
     if order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
     if key == "i":
@@ -299,5 +304,5 @@ def _assert_count_series(series: PowerSeries, name: str) -> None:
 
 
 def series_description(name: str) -> str:
-    key = name.lower()
+    key = _series_key(name)
     return "multiplicative identity" if key == "i" else _COUNT_SERIES[key][1]

@@ -210,7 +210,6 @@ class TestTable:
         def refuse(*args):
             raise AssertionError("truth_column called past the row limit")
 
-        monkeypatch.setattr("imptables.cli.truth_column", refuse)
         monkeypatch.setattr(logic, "truth_column", refuse)
         code, out, err = run(capsys, "table", *argv)
         assert (code, out) == (3, "")
@@ -279,13 +278,13 @@ class TestVerify:
         assert "n=4: brute skipped" in out
 
     def test_brute_force_leg_can_fail(self, capsys, monkeypatch):
-        real = cli.brute_counts
+        real = logic.brute_counts
 
         def swapped(n, sem, budget=None):
             c = real(n, sem, budget=budget)
             return CountVector(n=c.n, t=c.f, f=c.t, u=c.u, g=c.g)
 
-        monkeypatch.setattr(cli, "brute_counts", swapped)
+        monkeypatch.setattr(logic, "brute_counts", swapped)
         code, out, _ = run(capsys, "verify", "--n", "3")
         assert code == 1
         assert "n=1: brute t=1 f=1 u=1 | " in out and out.count("-> ok") == 1
@@ -350,8 +349,14 @@ class TestMonoid:
         code, _, err = run(capsys, "monoid", "--tamper", "t:3")
         assert code == 2
         assert "NAME:INDEX:DELTA" in err
-        code, _, err = run(capsys, "monoid", "--tamper", "i:0:1")
-        assert code == 2
+
+    @pytest.mark.parametrize("target", ["i", "q"])
+    def test_tamper_target_not_a_count_series(self, capsys, target):
+        # The library's own check rejects it, before any series is expanded.
+        code, out, err = run(capsys, "monoid", "--tamper", f"{target}:1:1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"tamper target {target!r}" in err
 
     def test_tamper_index_beyond_order(self, capsys):
         code, out, err = run(capsys, "monoid", "--order", "12", "--tamper", "t:99:1")
@@ -363,7 +368,7 @@ class TestMonoid:
         def reject(**kwargs):
             raise ValueError("rejected by the library")
 
-        monkeypatch.setattr("imptables.cli.run_all", reject)
+        monkeypatch.setattr("imptables.monoid.run_all", reject)
         code, out, err = run(capsys, "monoid", "--order", "4")
         assert code == 2
         assert out == ""
@@ -534,6 +539,27 @@ class TestSettings:
         code, out, _ = run(capsys, "verify", "--n", "1")
         assert code == 0
         assert out.startswith("kleene three-way agreement, n <= 1 (brute budget 8)\n")
+
+
+class TestExitCodeClauses:
+    """`main` maps ValueError to exit 2, ConsistencyError to 1, OSError to 2
+    and, last, BudgetError to 3; any other exception is not its business."""
+
+    def test_other_exception_propagates_unchanged(self, monkeypatch):
+        error = RuntimeError("no exit code for this")
+
+        def fail(args):
+            raise error
+
+        monkeypatch.setattr(cli, "_cmd_series", fail)
+        with pytest.raises(RuntimeError) as raised:
+            main(["series", "t", "--n", "3"])
+        assert raised.value is error
+
+    def test_budget_error_is_exit_3(self, capsys):
+        code, out, err = run(capsys, "table", "--n", "13")
+        assert (code, out) == (3, "")
+        assert err == "error: n=13 gives 3^13 kleene table rows, over the row limit (1048576)\n"
 
 
 class TestParser:

@@ -392,6 +392,15 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             closed_form("t", 0)
 
+    def test_description_checks_the_name_as_closed_form_does(self):
+        with pytest.raises(ValueError) as by_description:
+            series_description("q")
+        with pytest.raises(ValueError) as by_closed_form:
+            closed_form("q", 3)
+        assert str(by_description.value) == str(by_closed_form.value)
+        assert str(by_description.value).startswith("unknown series 'q'; choose from t, f,")
+        assert series_description("T") == "true entries, three-valued"
+
     def test_descriptions_exist(self):
         assert (KLEENE_SERIES, CLASSICAL_SERIES) == (("t", "f", "u", "g"), ("r", "s", "g2"))
         assert [(name, series_description(name.upper())) for name in SERIES_NAMES] == [

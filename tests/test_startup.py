@@ -141,6 +141,7 @@ class TestSubcommandImports:
             ("table", "--n", "2"),
             ("verify", "--n", "3"),
             ("monoid", "--order", "4"),
+            ("colors", "--n", "2"),
         ],
         ids=lambda argv: argv[0],
     )
@@ -150,6 +151,22 @@ class TestSubcommandImports:
         code, _, modules = loaded_by(*argv, flags=("-S",))
         assert code == 0
         assert "typing" not in modules
+
+    @pytest.mark.parametrize(
+        "argv, runs_logic",
+        [
+            (("series", "t", "--n", "3"), False),
+            (("series", "i", "--n", "1"), False),
+            (("table", "--n", "2"), True),
+            (("verify", "--n", "3"), True),
+            (("colors", "--n", "2"), True),
+        ],
+        ids=["series-t", "series-i", "table", "verify", "colors"],
+    )
+    def test_logic_loaded_only_where_it_runs(self, argv, runs_logic):
+        code, _, modules = loaded_by(*argv)
+        assert code == 0
+        assert ("imptables.logic" in modules) == runs_logic
 
     @pytest.mark.parametrize(
         "argv",
