@@ -34,6 +34,10 @@ SERIES = "src/imptables/series.py"
 RECURRENCES = "src/imptables/recurrences.py"
 MONOID = "src/imptables/monoid.py"
 CLI = "src/imptables/cli.py"
+TABLE_COMMAND = "src/imptables/commands/table.py"
+VERIFY_COMMAND = "src/imptables/commands/verify.py"
+MONOID_COMMAND = "src/imptables/commands/monoid.py"
+COLORS_COMMAND = "src/imptables/commands/colors.py"
 
 # Claim index ranges that two mutants each shift, and the tests that pin
 # both ends of a range.
@@ -53,6 +57,10 @@ SQUARE_ENDS = (
     "tests/test_monoid.py::TestPartitions::test_square_checked_against_the_total_at_both_ends"
 )
 COLOR_ENDS = "tests/test_monoid.py::TestPartitions::test_color_classes_checked_at_both_ends"
+# The line of `cli.main` that imports the command module it runs.
+DISPATCH = """\
+            command = importlib.import_module(f".commands.{args.command}", __package__)
+"""
 
 # name, file, exact old text, new text, tests that must fail.
 MUTANTS = [
@@ -194,7 +202,7 @@ _ROWS = [bytes(row).ljust(256, b"\\0") for row in _IMPLIES_TABLE]
     (
         "_divide floors",
         SERIES,
-        "return q if r == 0 else _exact(Fraction(c) / d)",
+        "return q if r == 0 else _fraction()(c) / d",
         "return q",
         ["tests/test_series.py::TestArithmetic"],
     ),
@@ -529,28 +537,28 @@ def run_all(
     ),
     (
         "brute leg dropped from agree",
-        CLI,
+        VERIFY_COMMAND,
         "agree = closed_row == recurrence and brute_row in (None, recurrence)",
         "agree = closed_row == recurrence",
         ["tests/test_cli.py::TestVerify::test_brute_force_leg_can_fail"],
     ),
     (
         "verify verdict always true",
-        CLI,
+        VERIFY_COMMAND,
         'all_agree = all(row["agree"] for row in rows)',
         "all_agree = True",
         ["tests/test_cli.py::TestVerify::test_brute_force_leg_can_fail"],
     ),
     (
         "monoid verdict always true",
-        CLI,
+        MONOID_COMMAND,
         "all_ok = all(r.verified for r in reports)",
         "all_ok = True",
         ["tests/test_cli.py::TestMonoid"],
     ),
     (
         "colors verdict always true",
-        CLI,
+        COLORS_COMMAND,
         "agree = all(classes[k] == products[k] for k in keys)",
         "agree = True",
         ["tests/test_cli.py::TestColors"],
@@ -563,10 +571,10 @@ def run_all(
         ["tests/test_golden.py"],
     ),
     (
-        "enumerate_bracketings called in _cmd_table",
-        CLI,
+        "enumerate_bracketings called in the table command",
+        TABLE_COMMAND,
         "return 0, _table_lines(bracketing_at(n, args.index), n, sem, args.format)",
-        "from .logic import enumerate_bracketings\n\n"
+        "from ..logic import enumerate_bracketings\n\n"
         "    return 0, _table_lines(enumerate_bracketings(n)[args.index], n, sem, args.format)",
         ["tests/test_cli.py::TestTable::test_builds_only_the_requested_tree"],
     ),
@@ -583,6 +591,26 @@ def run_all(
         "            _discard_stdout()\n",
         "            pass\n",
         ["tests/test_output_errors.py"],
+    ),
+    (
+        "series imports fractions at module level",
+        SERIES,
+        "from operator import mul\n",
+        "from fractions import Fraction\nfrom operator import mul\n",
+        ["tests/test_startup.py::TestStartupLoadsNoSpareCode::test_no_call_loads_fractions"],
+    ),
+    (
+        "main imports every command module",
+        CLI,
+        DISPATCH,
+        """            for name in ("series", "table", "verify", "monoid", "colors"):
+                importlib.import_module(f".commands.{name}", __package__)
+"""
+        + DISPATCH,
+        [
+            "tests/test_startup.py::TestStartupLoadsNoSpareCode"
+            "::test_each_call_loads_only_its_own_command_module"
+        ],
     ),
 ]
 

@@ -33,7 +33,6 @@ reconstructs t^k.
 import itertools
 import random
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from fractions import Fraction
 from functools import reduce
 from operator import eq, mul
 
@@ -129,8 +128,8 @@ class Witness(_Record):
 
     __slots__ = ("n", "lhs", "rhs", "context")
     n: int
-    lhs: int | Fraction
-    rhs: int | Fraction
+    lhs: "int | Fraction"
+    rhs: "int | Fraction"
     context: str
 
 
@@ -463,8 +462,7 @@ def verify_power_identities(realizer: Realizer, k_max: int) -> VerificationRepor
             )
             tk1 = power("t", k - 1)
             t_rhs = (
-                Fraction(2, 3) * (tk1 * power("g", 2))
-                - Fraction(2, 3) * (tk1 * g * f)
+                (2 * (tk1 * power("g", 2)) - 2 * (tk1 * g * f)) / 3
                 + tk1 * power("f", 2)
                 + tk1.shift()
             )

@@ -24,15 +24,19 @@ Count series must expand to nonnegative integers (asserted at construction).
 The four radicals are integral too, and every division on the way (the square
 roots' 2*y0, the closed forms' 6, 4 and 2) is exact integer division whenever
 the quotient is whole, so building them forms no `Fraction` at all.
+
+`fractions` is imported only when a value turns out non-integral, by
+`_fraction`: a call that forms only integers (every count series does)
+loads neither it nor the `decimal` and `numbers` modules it imports.
 """
 
 import functools
 import math
 from collections.abc import Iterable
-from fractions import Fraction
 from operator import mul
 
-Scalar = int | Fraction
+# A string, as `Fraction` is not imported here (see the module docstring).
+Scalar = "int | Fraction"
 
 
 class ConsistencyError(Exception):
@@ -42,7 +46,14 @@ class ConsistencyError(Exception):
     """
 
 
-def _rational_sqrt(q: Scalar) -> Fraction:
+def _fraction() -> type:
+    """The `Fraction` class, importing `fractions` on first use."""
+    from fractions import Fraction
+
+    return Fraction
+
+
+def _rational_sqrt(q: Scalar) -> Scalar:
     """Exact positive square root of a positive rational, or ValueError."""
     if q <= 0:
         raise ValueError(f"series sqrt needs a positive constant term, got {q}")
@@ -50,14 +61,14 @@ def _rational_sqrt(q: Scalar) -> Fraction:
     rn, rd = math.isqrt(num), math.isqrt(den)
     if rn * rn != num or rd * rd != den:
         raise ValueError(f"{q} is not the square of a rational")
-    return Fraction(rn, rd)
+    return _divide(rn, rd)
 
 
 def _exact(c: Scalar) -> Scalar:
     """`c` as an `int` when it is integral, else as a `Fraction`."""
     if type(c) is int:
         return c
-    q = Fraction(c)
+    q = _fraction()(c)
     return q.numerator if q.denominator == 1 else q
 
 
@@ -66,7 +77,13 @@ def _divide(c: Scalar, d: Scalar) -> Scalar:
     a `Fraction`.  A whole quotient costs one `divmod`, not the gcd that
     normalising a `Fraction` takes; ZeroDivisionError when ``d`` is 0."""
     q, r = divmod(c, d)
-    return q if r == 0 else _exact(Fraction(c) / d)
+    return q if r == 0 else _fraction()(c) / d
+
+
+def _is_scalar(value: object) -> bool:
+    """An `int` or a `Fraction`: an `int` is told apart first, without
+    `fractions` and the ABC check that a `Fraction` test goes through."""
+    return isinstance(value, int) or isinstance(value, _fraction())
 
 
 def _valuation(coeffs: tuple[Scalar, ...], n: int) -> int:
@@ -153,9 +170,9 @@ class PowerSeries:
 
     def __truediv__(self, divisor: Scalar) -> "PowerSeries":
         """Divide every coefficient exactly by a scalar; the order is preserved."""
-        if isinstance(divisor, (int, Fraction)):
-            return PowerSeries(_divide(c, divisor) for c in self.coeffs)
-        return NotImplemented
+        if not _is_scalar(divisor):
+            return NotImplemented
+        return PowerSeries(_divide(c, divisor) for c in self.coeffs)
 
     def shift(self) -> "PowerSeries":
         """Multiply by x: prepend a zero, keep the order (top term drops)."""
@@ -169,10 +186,8 @@ class PowerSeries:
         and the x**m one sums a_k b_{m-k} for va <= k <= m - vb only: a
         product forms no coefficient product below either valuation.
         """
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if not isinstance(other, PowerSeries):
-            return NotImplemented
+            return self.scale(other) if _is_scalar(other) else NotImplemented
         n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
         va, vb = _valuation(a, n), _valuation(b, n)
@@ -190,10 +205,7 @@ class PowerSeries:
             raise ValueError("series powers are defined for nonnegative integers")
         if exponent == 0:
             return PowerSeries.identity(self.order)
-        result = self
-        for _ in range(exponent - 1):
-            result = result * self
-        return result
+        return functools.reduce(mul, [self] * exponent)
 
     def sqrt(self) -> "PowerSeries":
         """The series y with y*y == self up to the truncation order.
@@ -207,7 +219,7 @@ class PowerSeries:
         and the division exact: an `int` whenever 2 y_0 divides the numerator.
         """
         a = self.coeffs
-        y0 = _exact(_rational_sqrt(a[0]))
+        y0 = _rational_sqrt(a[0])
         ys = [y0]
         for n in range(1, self.order + 1):
             half = (n + 1) // 2

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 import imptables
-import imptables.cli as cli
 import imptables.logic as logic
 from imptables.cli import main
 from imptables.logic import (
@@ -217,12 +216,12 @@ class TestTable:
         assert "row limit" in err
 
     def test_row_limit_bounds(self, capsys, monkeypatch):
-        from imptables import cli
+        from imptables.commands import table
 
         # Every table size in use (the benchmark's Kleene n = 10, the
         # classical n = 13 above) is within the limit.
-        assert max(3**10, 2**13) <= cli.TABLE_ROW_LIMIT
-        monkeypatch.setattr(cli, "TABLE_ROW_LIMIT", 9)
+        assert max(3**10, 2**13) <= table.TABLE_ROW_LIMIT
+        monkeypatch.setattr(table, "TABLE_ROW_LIMIT", 9)
         assert run(capsys, "table", "--n", "2")[0] == 0
         assert run(capsys, "table", "--n", "3", "--semantics", "2")[0] == 0
         assert run(capsys, "table", "--n", "3") == (
@@ -434,7 +433,7 @@ class TestColors:
         code, out, _ = run(capsys, "colors", "--n", "4")
         assert code == 0
         assert "MISMATCH" not in out
-        monkeypatch.setattr("imptables.cli.closed_form", bent)
+        monkeypatch.setattr("imptables.commands.colors.closed_form", bent)
         code, out, _ = run(capsys, "colors", "--n", "4")
         assert code == 1
         assert out.endswith("MISMATCH with convolutions\n")
@@ -551,7 +550,7 @@ class TestExitCodeClauses:
         def fail(args):
             raise error
 
-        monkeypatch.setattr(cli, "_cmd_series", fail)
+        monkeypatch.setattr("imptables.commands.series.run", fail)
         with pytest.raises(RuntimeError) as raised:
             main(["series", "t", "--n", "3"])
         assert raised.value is error

@@ -43,7 +43,7 @@ def bent_w(logic, order):
 
 
 PATCHES = {
-    "bent_t": ("imptables.cli.closed_form", bent_t),
+    "bent_t": ("imptables.commands.colors.closed_form", bent_t),
     "bent_w": ("imptables.series._radicals", bent_w),
 }
 

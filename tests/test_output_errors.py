@@ -54,7 +54,7 @@ def test_opened_before_the_work(capsys, tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("the series was computed before --output was opened")
 
-    monkeypatch.setattr("imptables.cli.closed_form", refuse)
+    monkeypatch.setattr("imptables.commands.series.closed_form", refuse)
     target = tmp_path / "missing" / "x"
     code = main(["series", "t", "--n", "5", "--output", str(target)])
     captured = capsys.readouterr()

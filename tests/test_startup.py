@@ -197,3 +197,72 @@ class TestSubcommandImports:
         assert out.endswith("all paths agree\n")
         assert "imptables.recurrences" in modules
         assert "imptables.monoid" not in modules
+
+
+# Every subcommand with every format it offers.
+FORMATS = {
+    ("series", "t", "--n", "5"): ("plain", "csv", "json", "bfile"),
+    ("table", "--n", "2"): ("plain", "csv", "json"),
+    ("verify", "--n", "3"): ("plain", "csv", "json"),
+    ("monoid", "--order", "8"): ("plain", "json"),
+    ("colors", "--n", "3"): ("plain", "csv", "json"),
+}
+FRACTION_MODULES = {"fractions", "decimal", "_decimal", "_pydecimal", "numbers"}
+
+
+class TestStartupLoadsNoSpareCode:
+    """A call compiles `cli`, `series`, the one command module it runs and
+    the library modules that module uses; it loads `fractions` (and the
+    `decimal` and `numbers` modules that `fractions` imports) only when
+    it forms a non-integral value, which no untampered call does."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [(*argv, "--format", fmt) for argv, fmts in FORMATS.items() for fmt in fmts],
+        ids=lambda argv: f"{argv[0]}-{argv[-1]}",
+    )
+    def test_no_call_loads_fractions(self, argv):
+        # -S: a `site` that runs third-party .pth files may import them itself.
+        code, _, modules = loaded_by(*argv, flags=("-S",))
+        assert code == 0
+        assert not FRACTION_MODULES & modules
+
+    @pytest.mark.parametrize("argv", FORMATS, ids=lambda argv: argv[0])
+    def test_each_call_loads_only_its_own_command_module(self, argv):
+        code, _, modules = loaded_by(*argv)
+        assert code == 0
+        loaded = {m for m in modules if m.startswith("imptables.commands.")}
+        assert loaded == {f"imptables.commands.{argv[0]}"}
+
+
+# Each first forms a non-integral value in a fresh process, where
+# `fractions` is not loaded yet, and prints the coefficients and their types.
+NON_INTEGRAL = {
+    "division": ("PowerSeries([1, 1]) / 3", [(1, 3), (1, 3)], ["Fraction", "Fraction"]),
+    "sqrt": ("PowerSeries([4, 1]).sqrt()", [(2, 1), (1, 4)], ["int", "Fraction"]),
+    "fraction-root": ("PowerSeries([0.25, 1]).sqrt()", [(1, 2), (1, 1)], ["Fraction", "int"]),
+    "float-coefficients": ("PowerSeries([0.5, 2.0])", [(1, 2), (2, 1)], ["Fraction", "int"]),
+    "fraction-factor": (
+        "PowerSeries([1, 2]) * __import__('fractions').Fraction(1, 2)",
+        [(1, 2), (1, 1)],
+        ["Fraction", "int"],
+    ),
+}
+
+NON_INTEGRAL_PROBE = """
+import sys
+from imptables.series import PowerSeries, closed_form
+closed_form("t", 8) / 1 * 2
+assert "fractions" not in sys.modules, "loaded before any non-integral value"
+series = {expression}
+print([(c.numerator, c.denominator) for c in series.coeffs])
+print([type(c).__name__ for c in series.coeffs])
+"""
+
+
+@pytest.mark.parametrize("case", NON_INTEGRAL)
+def test_first_non_integral_value_in_a_fresh_process(case):
+    expression, values, types = NON_INTEGRAL[case]
+    proc = fresh_python("-S", "-c", NON_INTEGRAL_PROBE.format(expression=expression))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{values}\n{types}\n"
