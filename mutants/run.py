@@ -289,9 +289,9 @@ _ROWS = [bytes(row).ljust(256, b"\\0") for row in _IMPLIES_TABLE]
         "run_all calling a claim through a private alias",
         MONOID,
         """def run_all(
-    order: int = 40,
-    k_max: int = 6,
-    seed: int = 0,
+    order: int = DEFAULT_ORDER,
+    k_max: int = DEFAULT_K_MAX,
+    seed: int = DEFAULT_SEED,
     tamper: Tamper | None = None,
 ) -> list[VerificationReport]:
     \"\"\"Run every verification suite for both logics and collect reports.
@@ -318,9 +318,9 @@ _ROWS = [bytes(row).ljust(256, b"\\0") for row in _IMPLIES_TABLE]
 
 
 def run_all(
-    order: int = 40,
-    k_max: int = 6,
-    seed: int = 0,
+    order: int = DEFAULT_ORDER,
+    k_max: int = DEFAULT_K_MAX,
+    seed: int = DEFAULT_SEED,
     tamper: Tamper | None = None,
 ) -> list[VerificationReport]:
     \"\"\"Run every verification suite for both logics and collect reports.
@@ -543,6 +543,16 @@ def run_all(
         ["tests/test_cli.py::TestVerify::test_brute_force_leg_can_fail"],
     ),
     (
+        "closed-form leg dropped from agree",
+        VERIFY_COMMAND,
+        "agree = closed_row == recurrence and brute_row in (None, recurrence)",
+        "agree = brute_row in (None, recurrence)",
+        [
+            "tests/test_logic.py::TestBruteForceIndependence"
+            "::test_patched_table_changes_brute_force_and_fails_verify"
+        ],
+    ),
+    (
         "verify verdict always true",
         VERIFY_COMMAND,
         'all_agree = all(row["agree"] for row in rows)',
@@ -573,9 +583,9 @@ def run_all(
     (
         "enumerate_bracketings called in the table command",
         TABLE_COMMAND,
-        "return 0, _table_lines(bracketing_at(n, args.index), n, sem, args.format)",
+        "return 0, _table_lines(bracketing_at(n, index), n, sem, args.format)",
         "from ..logic import enumerate_bracketings\n\n"
-        "    return 0, _table_lines(enumerate_bracketings(n)[args.index], n, sem, args.format)",
+        "    return 0, _table_lines(enumerate_bracketings(n)[index], n, sem, args.format)",
         ["tests/test_cli.py::TestTable::test_builds_only_the_requested_tree"],
     ),
     (

@@ -34,8 +34,13 @@ Output that cannot be written (a closed pipe, a full disk) exits 2 too.
 Defaults for --order, --seed and --budget can be overridden with the
 IMPTABLES_ORDER, IMPTABLES_SEED and IMPTABLES_BUDGET environment
 variables; explicit flags always win.  Every integer setting is read by
-`_setting`, and a usage error about one names where its value came
-from: the flag, or the environment variable.
+`_setting`, which is also the one place a default is applied (the parser
+sets none), and a usage error about one names where its value came
+from: the flag, or the environment variable.  This module states no
+library decision: the monoid defaults are `monoid.DEFAULT_ORDER`,
+`DEFAULT_K_MAX` and `DEFAULT_SEED` (`run_all`'s own), the brute-force
+budget is the semantics' `brute_budget`, and which truth value each
+count series counts is `series.SERIES_VALUES`.
 
 Each call loads and compiles only the code its subcommand runs.  Every
 call loads this module and `series`, whose names the parser offers, and
@@ -56,13 +61,6 @@ from collections.abc import Iterable, Sequence
 import imptables
 
 from .series import SERIES_NAMES, ConsistencyError
-
-DEFAULT_ORDER = 40
-DEFAULT_K_MAX = 6
-DEFAULT_SEED = 0
-
-# The count series of each truth value, by radix, in display order.
-COUNT_SERIES = {3: {"t": 1, "f": 0, "u": 2}, 2: {"r": 1, "s": 0}}
 
 # A subcommand's exit code and the chunks of text it writes.
 Result = tuple[int, Iterable[str]]
@@ -98,19 +96,15 @@ def _setting(
     return value
 
 
-def _dump_json(payload: object) -> str:
-    # Imported here, not at the top: only json output needs it, and every
-    # call would pay for the import.
-    import json
-
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 def _render(fmt: str, payload: object, lines: list[str]) -> list[str]:
     """A whole result as chunks: the canonical json of ``payload``, or the
     ``lines`` of the plain, csv or bfile format, each newline-terminated."""
     if fmt == "json":
-        return [_dump_json(payload)]
+        # Imported here, not at the top: only json output needs it, and every
+        # call would pay for the import.
+        import json
+
+        return [json.dumps(payload, indent=2, sort_keys=True) + "\n"]
     return ["\n".join(lines) + "\n"]
 
 
@@ -136,28 +130,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_series = sub.add_parser("series", help="coefficients of one count series")
     p_series.add_argument("name", choices=SERIES_NAMES)
-    p_series.add_argument("--n", type=int, default=10, help="how many coefficients (from n=1)")
+    p_series.add_argument("--n", type=int, help="how many coefficients (from n=1)")
     _finish(p_series, (*formats, "bfile"))
 
     p_table = sub.add_parser("table", help="full truth table of one bracketing")
     p_table.add_argument("--n", type=int, required=True, help="number of variables")
-    p_table.add_argument("--index", type=int, default=0, help="bracketing index, 0-based")
-    p_table.add_argument(
-        "--semantics", type=int, choices=(2, 3), default=3, help="2 classical, 3 Kleene"
-    )
+    p_table.add_argument("--index", type=int, help="bracketing index, 0-based")
+    p_table.add_argument("--semantics", type=int, choices=(2, 3), help="2 classical, 3 Kleene")
     _finish(p_table, formats)
 
     p_verify = sub.add_parser(
         "verify", help="three-way agreement: brute force, recurrence, closed form"
     )
     p_verify.add_argument("--n", type=int, help="largest n (default 7 or 9)")
-    p_verify.add_argument("--semantics", type=int, choices=(2, 3), default=3)
+    p_verify.add_argument("--semantics", type=int, choices=(2, 3))
     p_verify.add_argument("--budget", type=int, help="largest n for brute force")
     _finish(p_verify, formats)
 
     p_monoid = sub.add_parser("monoid", help="run the algebraic verification suites")
     p_monoid.add_argument("--order", type=int, help="truncation order")
-    p_monoid.add_argument("--kmax", type=int, default=DEFAULT_K_MAX)
+    p_monoid.add_argument("--kmax", type=int)
     p_monoid.add_argument("--seed", type=int, help="sampling seed")
     p_monoid.add_argument(
         "--tamper",
@@ -167,8 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     _finish(p_monoid, ("plain", "json"))
 
     p_colors = sub.add_parser("colors", help="root-split color class counts")
-    p_colors.add_argument("--n", type=int, default=4)
-    p_colors.add_argument("--semantics", type=int, choices=(2, 3), default=3)
+    p_colors.add_argument("--n", type=int)
+    p_colors.add_argument("--semantics", type=int, choices=(2, 3))
     p_colors.add_argument("--budget", type=int, help="largest n for brute force")
     _finish(p_colors, formats)
 

@@ -3,19 +3,18 @@ classical mode."""
 
 import argparse
 
-from ..cli import COUNT_SERIES, Result, _render, _setting
-from ..series import closed_form
+from ..cli import Result, _render, _setting
+from ..series import SERIES_VALUES, closed_form
 
 
 def run(args: argparse.Namespace) -> Result:
     from ..logic import color_class_counts, semantics_from_radix
 
-    sem = semantics_from_radix(args.semantics)
-    n = _setting("--n", args.n, floor=2, why=" (a root split is needed)")
-    budget = _setting("--budget", args.budget, "IMPTABLES_BUDGET", floor=0)
+    sem = semantics_from_radix(_setting("--semantics", args.semantics, default=3))
+    n = _setting("--n", args.n, default=4, floor=2, why=" (a root split is needed)")
+    budget = _setting("--budget", args.budget, "IMPTABLES_BUDGET", sem.brute_budget, 0)
     classes = color_class_counts(n, sem, budget=budget)
-    names = COUNT_SERIES[sem.radix]
-    by_value = {value: closed_form(name, n) for name, value in names.items()}
+    by_value = {value: closed_form(name, n) for name, value in SERIES_VALUES[sem.name].items()}
     products = {
         (a, b): (by_value[a] * by_value[b]).coefficient(n)
         for a in sem.values

@@ -2,7 +2,7 @@
 
 import argparse
 
-from ..cli import DEFAULT_ORDER, DEFAULT_SEED, Result, _render, _setting
+from ..cli import Result, _render, _setting
 
 
 def _parse_tamper(raw: str | None) -> tuple[str, int, int] | None:
@@ -31,11 +31,11 @@ def _witness_json(witness) -> dict | None:
 
 
 def run(args: argparse.Namespace) -> Result:
-    from ..monoid import run_all
+    from ..monoid import DEFAULT_K_MAX, DEFAULT_ORDER, DEFAULT_SEED, run_all
 
     order = _setting("--order", args.order, "IMPTABLES_ORDER", DEFAULT_ORDER, 2)
     seed = _setting("--seed", args.seed, "IMPTABLES_SEED", DEFAULT_SEED)
-    k_max = _setting("--kmax", args.kmax, floor=2)
+    k_max = _setting("--kmax", args.kmax, default=DEFAULT_K_MAX, floor=2)
     tamper = _parse_tamper(args.tamper)
     if tamper is not None and not 0 <= tamper[1] <= order:
         raise ValueError(f"--tamper index {tamper[1]} outside orders 0..{order}")

@@ -7,7 +7,7 @@ from ..series import closed_form, series_description
 
 
 def run(args: argparse.Namespace) -> Result:
-    n_max = _setting("--n", args.n, floor=1)
+    n_max = _setting("--n", args.n, default=10, floor=1)
     series = closed_form(args.name, n_max)
     values = [series.coefficient(n) for n in range(1, n_max + 1)]
     lines = []

@@ -17,7 +17,7 @@ def _table_lines(tree, n: int, sem, fmt: str) -> Iterator[str]:
 
     The values come from the tree's `truth_column`; a row's valuation
     text is its block's high-digit text followed by one of the low-digit
-    texts, both precomputed.  The json text equals ``_dump_json`` of the
+    texts, both precomputed.  The json text equals `_render`'s json of the
     payload ``{"formula", "n", "rows": [{"valuation", "value"}],
     "semantics"}``: keys sorted (``"valuation"`` before ``"value"``),
     two-space indent, and each valuation digit on its own line.
@@ -63,7 +63,7 @@ def _table_lines(tree, n: int, sem, fmt: str) -> Iterator[str]:
 def run(args: argparse.Namespace) -> Result:
     from ..logic import BudgetError, bracketing_at, semantics_from_radix
 
-    sem = semantics_from_radix(args.semantics)
+    sem = semantics_from_radix(_setting("--semantics", args.semantics, default=3))
     n = _setting("--n", args.n, floor=1)
     # The exponent is capped so a huge --n costs no huge power.
     if sem.radix ** min(n, TABLE_ROW_LIMIT.bit_length()) > TABLE_ROW_LIMIT:
@@ -71,5 +71,6 @@ def run(args: argparse.Namespace) -> Result:
             f"n={n} gives {sem.radix}^{n} {sem.name} table rows, over the row limit "
             f"({TABLE_ROW_LIMIT})"
         )
+    index = _setting("--index", args.index, default=0)
     # The rows are computed as they are written.
-    return 0, _table_lines(bracketing_at(n, args.index), n, sem, args.format)
+    return 0, _table_lines(bracketing_at(n, index), n, sem, args.format)

@@ -2,15 +2,16 @@
 
 import argparse
 
-from ..cli import COUNT_SERIES, Result, _render, _setting
-from ..series import closed_form
+from ..cli import Result, _render, _setting
+from ..series import SERIES_VALUES, closed_form
 
 
-def _verify_rows(n_max: int, sem, limit: int) -> list[dict]:
+def _verify_rows(n_max: int, sem, names: dict[str, int], limit: int) -> list[dict]:
+    """One row per n: each path's count of every value, as {name: count} of
+    ``names`` ({series name: value}), and whether the paths agree."""
     from ..logic import brute_counts
     from ..recurrences import counts_by_recurrence
 
-    names = COUNT_SERIES[sem.radix]
     table = counts_by_recurrence(n_max, sem)
     closed = {name: closed_form(name, n_max) for name in names}
     rows = []
@@ -38,12 +39,12 @@ def _verify_rows(n_max: int, sem, limit: int) -> list[dict]:
 def run(args: argparse.Namespace) -> Result:
     from ..logic import semantics_from_radix
 
-    sem = semantics_from_radix(args.semantics)
+    sem = semantics_from_radix(_setting("--semantics", args.semantics, default=3))
     n_max = _setting("--n", args.n, default=7 if sem.radix == 3 else 9, floor=1)
     limit = _setting("--budget", args.budget, "IMPTABLES_BUDGET", sem.brute_budget, 0)
-    rows = _verify_rows(n_max, sem, limit)
+    names = SERIES_VALUES[sem.name]
+    rows = _verify_rows(n_max, sem, names, limit)
     all_agree = all(row["agree"] for row in rows)
-    names = COUNT_SERIES[sem.radix]
     if args.format == "csv":
         lines = [",".join(["n", *names, "g"])]
         for row in rows:

@@ -390,7 +390,7 @@ def _check_budget(n: int, sem: Semantics, budget: int | None) -> None:
     if n > limit:
         raise BudgetError(
             f"n={n} exceeds the brute-force budget ({limit}) for {sem.name} "
-            f"semantics; raise the budget or use the tree_counts path"
+            f"semantics; raise the budget, or count with counts_by_recurrence or closed_form"
         )
 
 

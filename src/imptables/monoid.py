@@ -34,17 +34,23 @@ import itertools
 import random
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import reduce
-from operator import eq, mul
+from operator import add, eq, mul
 
 from .logic import CLASSICAL, _Record, color_class_counts
-from .series import CLASSICAL_SERIES, KLEENE_SERIES, PowerSeries, closed_form
+from .series import CLASSICAL_SERIES, KLEENE_SERIES, SERIES_VALUES, PowerSeries, closed_form
 
-# Every series a realizer expands, by logic: the generators, then the total.
+# Every series a realizer expands, by logic: the generators (the series
+# that count one truth value) and the total (the one that counts none).
 SERIES = {"kleene": KLEENE_SERIES, "classical": CLASSICAL_SERIES}
-GENERATORS = {logic: names[:-1] for logic, names in SERIES.items()}
-TOTALS = {logic: names[-1] for logic, names in SERIES.items()}
+GENERATORS = {logic: tuple(values) for logic, values in SERIES_VALUES.items()}
+TOTALS = {logic: n for logic, names in SERIES.items() for n in names if n not in GENERATORS[logic]}
 
 Tamper = tuple[str, int, int]
+
+# `run_all`'s defaults, which the monoid command takes too.
+DEFAULT_ORDER = 40
+DEFAULT_K_MAX = 6
+DEFAULT_SEED = 0
 
 # The fixed sample sizes and caps of the claims, read by `default_sample`
 # (SAMPLE_*), `verify_partitions` (COLOR_N_MAX), `verify_ideal_samples`
@@ -512,14 +518,16 @@ def verify_partitions(realizer: Realizer) -> VerificationReport:
 
     def classical_cases() -> Iterator[Case]:
         yield (r + s).coeffs, g2, eq, every_n, "r + s vs g2", "r + s missed g2", {}
+        # Keyed by the truth values of the root's (left, right) subformulas,
+        # as the color classes are: rr, rs, sr, ss.
+        values = SERIES_VALUES["classical"]
         quadrants = {
-            (1, 1): r * r,
-            (1, 0): r * s,
-            (0, 1): s * r,
-            (0, 0): s * s,
+            (values[a], values[b]): realizer.series(a) * realizer.series(b)
+            for a in values
+            for b in values
         }
         square = realizer.power("g2", 2).coeffs
-        four_sum = quadrants[1, 1] + quadrants[1, 0] + quadrants[0, 1] + quadrants[0, 0]
+        four_sum = reduce(add, quadrants.values())
         yield (
             four_sum.coeffs,
             square,
@@ -646,9 +654,9 @@ def verify_substitution_bounds(realizer: Realizer) -> VerificationReport:
 
 
 def run_all(
-    order: int = 40,
-    k_max: int = 6,
-    seed: int = 0,
+    order: int = DEFAULT_ORDER,
+    k_max: int = DEFAULT_K_MAX,
+    seed: int = DEFAULT_SEED,
     tamper: Tamper | None = None,
 ) -> list[VerificationReport]:
     """Run every verification suite for both logics and collect reports.

@@ -9,9 +9,15 @@ valuations (the index of each one's first nonzero coefficient): the
 count series have no constant term, so t^i f^j u^k starts at x^(i+j+k)
 and the zeros below it cost nothing.
 
-The module also builds the closed forms of the truth-table count
-series.  Writing s = sqrt(1-12x) and w = sqrt(5+24x+4s), the
-three-valued counts are
+The module is the one place that says which truth value each count
+series counts (`SERIES_VALUES`): t, f, u count the entries of value 1
+(true), 0 (false) and 2 (unknown), r and s the classical 1 and 0, and
+g, g2 all entries.  The CLI and `monoid` read that vocabulary from
+here.  It is a label, not a count: brute force and the recurrence
+import nothing from this module, so the three routes stay independent.
+
+The module also builds the closed forms of the count series.  Writing
+s = sqrt(1-12x) and w = sqrt(5+24x+4s), the three-valued counts are
 
     u: (1 - s)/6        f: (-2 - s + w)/6      t: (4 - s - w)/6
     g: (1 - s)/2   (total; g = 3u)
@@ -248,20 +254,27 @@ class PowerSeries:
 # as (a, b, c, d).
 _RADICALS = {"kleene": (12, 5, 24, 4), "classical": (8, 2, 8, 2)}
 
-# One row per count series: its logic, its description, and (c, cs, cw, d)
-# for its closed form (c + cs*s + cw*w) / d over that logic's radicals.
+# One row per count series: its logic, the truth value whose entries it
+# counts (None for the total), its description, and (c, cs, cw, d) for its
+# closed form (c + cs*s + cw*w) / d over that logic's radicals.
 _COUNT_SERIES = {
-    "t": ("kleene", "true entries, three-valued", (4, -1, -1, 6)),
-    "f": ("kleene", "false entries, three-valued", (-2, -1, 1, 6)),
-    "u": ("kleene", "unknown entries, three-valued", (1, -1, 0, 6)),
-    "g": ("kleene", "all entries, three-valued", (1, -1, 0, 2)),
-    "r": ("classical", "true entries, classical", (3, -1, -1, 4)),
-    "s": ("classical", "false entries, classical", (-1, -1, 1, 4)),
-    "g2": ("classical", "all entries, classical", (1, -1, 0, 2)),
+    "t": ("kleene", 1, "true entries, three-valued", (4, -1, -1, 6)),
+    "f": ("kleene", 0, "false entries, three-valued", (-2, -1, 1, 6)),
+    "u": ("kleene", 2, "unknown entries, three-valued", (1, -1, 0, 6)),
+    "g": ("kleene", None, "all entries, three-valued", (1, -1, 0, 2)),
+    "r": ("classical", 1, "true entries, classical", (3, -1, -1, 4)),
+    "s": ("classical", 0, "false entries, classical", (-1, -1, 1, 4)),
+    "g2": ("classical", None, "all entries, classical", (1, -1, 0, 2)),
 }
 KLEENE_SERIES = tuple(name for name, row in _COUNT_SERIES.items() if row[0] == "kleene")
 CLASSICAL_SERIES = tuple(name for name, row in _COUNT_SERIES.items() if row[0] == "classical")
 SERIES_NAMES = (*_COUNT_SERIES, "i")
+# The vocabulary of the count series: by logic (a `Semantics.name`), each
+# series that counts one truth value, in display order, as {name: value}.
+SERIES_VALUES = {
+    logic: {n: v for n, (of, v, *_) in _COUNT_SERIES.items() if of == logic and v is not None}
+    for logic in _RADICALS
+}
 
 
 def _series_key(name: str) -> str:
@@ -295,7 +308,7 @@ def closed_form(name: str, order: int) -> PowerSeries:
         raise ValueError(f"order must be at least 1, got {order}")
     if key == "i":
         return PowerSeries.identity(order)
-    logic, _, (c, cs, cw, d) = _COUNT_SERIES[key]
+    logic, _, _, (c, cs, cw, d) = _COUNT_SERIES[key]
     s, w = _radicals(logic, order)
     series = (PowerSeries.constant(c, order) + cs * s + cw * w) / d
     _assert_count_series(series, key)
@@ -317,4 +330,4 @@ def _assert_count_series(series: PowerSeries, name: str) -> None:
 
 def series_description(name: str) -> str:
     key = _series_key(name)
-    return "multiplicative identity" if key == "i" else _COUNT_SERIES[key][1]
+    return "multiplicative identity" if key == "i" else _COUNT_SERIES[key][2]

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -18,6 +19,7 @@ from imptables.logic import (
     iter_valuations,
     semantics_from_radix,
 )
+from imptables.monoid import run_all
 
 
 def run(capsys, *argv):
@@ -399,6 +401,17 @@ class TestMonoid:
         code, _, err = run(capsys, "monoid", "--kmax", "2")
         assert code == 2
         assert "IMPTABLES_ORDER" in err
+
+    def test_defaults_are_run_alls(self, capsys, monkeypatch):
+        for name in ("IMPTABLES_ORDER", "IMPTABLES_SEED", "IMPTABLES_BUDGET"):
+            monkeypatch.delenv(name, raising=False)
+        code, out, _ = run(capsys, "monoid", "--format", "json")
+        payload = json.loads(out)
+        defaults = inspect.signature(run_all).parameters
+        assert code == 0
+        assert {key: payload[key] for key in ("order", "k_max", "seed")} == {
+            key: defaults[key].default for key in ("order", "k_max", "seed")
+        }
 
 
 class TestColors:

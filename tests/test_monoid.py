@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from imptables.logic import color_class_counts
 from imptables.monoid import (
     GENERATORS,
+    TOTALS,
     MonoidElement,
     Realizer,
     Witness,
@@ -142,6 +143,10 @@ class TestMonoidElement:
 
 
 class TestRealizer:
+    def test_generators_and_totals(self):
+        assert GENERATORS == {"kleene": ("t", "f", "u"), "classical": ("r", "s")}
+        assert TOTALS == {"kleene": "g", "classical": "g2"}
+
     def test_identity_realizes_to_one(self, kleene_realizer):
         series = kleene_realizer.realize(MonoidElement.identity("kleene"))
         assert series == PowerSeries.identity(20)

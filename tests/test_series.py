@@ -5,11 +5,12 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import imptables.series as series_module
-from imptables.logic import catalan
+from imptables.logic import CLASSICAL, KLEENE, catalan
 from imptables.series import (
     CLASSICAL_SERIES,
     KLEENE_SERIES,
     SERIES_NAMES,
+    SERIES_VALUES,
     ConsistencyError,
     PowerSeries,
     _divide,
@@ -308,6 +309,15 @@ class TestSqrt:
         root = series.sqrt()
         assert root * root == series
         assert root.coefficient(0) == constant
+
+
+class TestVocabulary:
+    @pytest.mark.parametrize("sem, names", [(KLEENE, KLEENE_SERIES), (CLASSICAL, CLASSICAL_SERIES)])
+    def test_each_value_has_one_series_and_one_total_remains(self, sem, names):
+        vocabulary = SERIES_VALUES[sem.name]
+        assert sorted(vocabulary.values()) == sorted(sem.values)
+        assert set(vocabulary) < set(names)
+        assert len(set(names) - set(vocabulary)) == 1
 
 
 class TestClosedForms:
