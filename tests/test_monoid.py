@@ -80,15 +80,15 @@ def skew_products(monkeypatch, index):
     monkeypatch.setattr(PowerSeries, "__mul__", skewed)
 
 
-def bend_closed_forms(monkeypatch, names, index, delta):
-    """The realizers' closed forms of ``names`` each shifted by delta at x^index."""
+def bend_closed_forms(monkeypatch, index, **deltas):
+    """The realizers' closed forms, each named one shifted by its delta at x^index."""
 
     def expand(name, order):
         series = closed_form(name, order)
-        if name not in names:
+        if name not in deltas:
             return series
         coeffs = list(series.coeffs)
-        coeffs[index] += delta
+        coeffs[index] += deltas[name]
         return PowerSeries(coeffs)
 
     monkeypatch.setattr("imptables.monoid.closed_form", expand)
@@ -268,8 +268,10 @@ class TestCommutativityAndAssociativity:
         i = MonoidElement.identity("kleene")
         report = verify_commutativity(Realizer("kleene", 8), [(t, f), (i, t)])
         assert not report.verified
-        assert report.witness == Witness(1, 0, 1, "(1)*(t) vs (t)*(1)")
-        assert report.detail == "product order changed a result among 2 pairs"
+        assert report.summary_line() == (
+            "FAIL commutativity[kleene] (order 8): product order changed a result among 2 pairs;"
+            " first failure at n=1: 0 vs 1 [(1)*(t) vs (t)*(1)]"
+        )
 
     def test_associativity_can_fail_through_the_memo(self, asymmetric_product):
         t = MonoidElement.from_powers("kleene", t=1)
@@ -278,7 +280,10 @@ class TestCommutativityAndAssociativity:
         i = MonoidElement.identity("kleene")
         report = verify_associativity(Realizer("kleene", 8), [(t, f, u), (t, i, i)])
         assert not report.verified
-        assert report.witness == Witness(1, 1, 0, "((t)*(1))*(1) vs (t)*((1)*(1))")
+        assert report.summary_line() == (
+            "FAIL associativity[kleene] (order 8): association order changed a result among"
+            " 2 triples; first failure at n=1: 1 vs 0 [((t)*(1))*(1) vs (t)*((1)*(1))]"
+        )
 
     def test_commutativity_checks_the_top_coefficient(self, monkeypatch):
         realizer = Realizer("kleene", 8)
@@ -348,9 +353,10 @@ class TestBound:
         bent = Realizer("kleene", 10, tamper=("t", 3, 30))
         report = verify_bound(bent, [MonoidElement.from_powers("kleene", t=1)])
         assert not report.verified
-        assert report.witness.n == 3
-        assert report.witness.lhs == 60
-        assert report.witness.rhs == 54
+        assert report.summary_line() == (
+            "FAIL bound[kleene] (order 10): a coefficient of t escapes [0, total) among"
+            " 1 elements; first failure at n=3: 60 vs 54 [[x^3](t) vs total]"
+        )
 
     def test_bound_checks_the_top_coefficient(self):
         # t pushed onto the total at x^order and nowhere else.
@@ -438,11 +444,32 @@ class TestPartitions:
         assert report.witness.lhs == 55
         assert report.witness.rhs == 54
 
+    def test_three_u_checked_against_the_total(self, monkeypatch):
+        # u up and t down at x^3 keep t + f + u = g, so only 3u misses g.
+        bend_closed_forms(monkeypatch, 3, u=1, t=-1)
+        report = verify_partitions(Realizer("kleene", 8))
+        assert report.summary_line() == (
+            "FAIL partitions[kleene] (order 8): 3u missed g;"
+            " first failure at n=3: 57 vs 54 [3u vs g]"
+        )
+
     def test_tampered_classical_partition_fails(self):
         bent = Realizer("classical", 12, tamper=("g2", 5, -2))
         report = verify_partitions(bent)
         assert not report.verified
         assert report.witness.n == 5
+
+    def test_four_convolutions_checked_against_the_square(self, monkeypatch):
+        # Skewed at x^3, each of the four convolutions gains its left
+        # factor's [x^3] (2*g2_3 in all) and g2*g2 gains g2_3 once; r + s
+        # is a sum, not a product, so it still matches g2.
+        realizer = Realizer("classical", 8)
+        skew_products(monkeypatch, 3)
+        report = verify_partitions(realizer)
+        assert report.summary_line() == (
+            "FAIL partitions[classical] (order 8): the four convolutions missed g2^2;"
+            " first failure at n=3: 48 vs 32 [rr + rs + sr + ss vs g2^2]"
+        )
 
     @pytest.mark.parametrize("index", [2, 8])
     def test_square_checked_against_the_total_at_both_ends(self, monkeypatch, index):
@@ -450,10 +477,14 @@ class TestPartitions:
         # convolutions equal to g2^2, whose x^index coefficient does not
         # see the shift (g2 has no constant term), so g2^2 first misses
         # g2 at the shifted index.
-        bend_closed_forms(monkeypatch, ("r", "g2"), index, 1)
+        bend_closed_forms(monkeypatch, index, r=1, g2=1)
         report = verify_partitions(Realizer("classical", 8))
         assert not report.verified
-        assert (report.witness.n, report.witness.context) == (index, "g2^2 vs g2")
+        values = {2: "4 vs 5", 8: "109824 vs 109825"}[index]
+        assert report.summary_line() == (
+            "FAIL partitions[classical] (order 8): g2^2 diverged from g2 at n >= 2;"
+            f" first failure at n={index}: {values} [g2^2 vs g2]"
+        )
 
     @pytest.mark.parametrize("bent_n", [2, 6])
     def test_color_classes_checked_at_both_ends(self, monkeypatch, bent_n):
@@ -466,8 +497,12 @@ class TestPartitions:
         monkeypatch.setattr("imptables.monoid.color_class_counts", classes)
         report = verify_partitions(Realizer("classical", 8))
         assert not report.verified
-        assert report.witness.n == bent_n
-        assert report.witness.context == f"color class (1, 1) at n={bent_n}"
+        values = {2: "2 vs 1", 6: "1199 vs 1198"}[bent_n]
+        assert report.summary_line() == (
+            "FAIL partitions[classical] (order 8): brute-force color classes disagreed with"
+            f" the convolutions; first failure at n={bent_n}: {values}"
+            f" [color class (1, 1) at n={bent_n}]"
+        )
 
 
 class TestIdealAndSubstitution:
@@ -488,7 +523,11 @@ class TestIdealAndSubstitution:
         realizer = FixedRealizer(PowerSeries(coeffs), PowerSeries([1, 3, 9, 54]))
         report = verify_ideal_samples(realizer, [MonoidElement.identity("kleene")])
         assert not report.verified
-        assert report.witness.n == n
+        assert report.summary_line() == (
+            "FAIL ideal-containment[kleene] (order 3): a generator multiple escaped the bound"
+            f" among 1 products; first failure at n={n}: {coeffs[n]} vs {coeffs[n]}"
+            f" [[x^{n}]((t)*(1)) vs total]"
+        )
 
     def test_substitution_bounds(self, kleene_realizer):
         report = verify_substitution_bounds(kleene_realizer)
@@ -500,7 +539,11 @@ class TestIdealAndSubstitution:
         assert verify_substitution_bounds(FixedRealizer(PowerSeries([1, 0, 0, 0]))).verified
         report = verify_substitution_bounds(FixedRealizer(PowerSeries([1, 0, 0, 7])))
         assert not report.verified
-        assert (report.witness.n, report.witness.lhs, report.witness.rhs) == (3, 7, 7)
+        assert report.summary_line() == (
+            "FAIL substitution-bounds[kleene] (order 3): a domination pattern broke"
+            " (a=0, k=1); first failure at n=3: 7 vs 7"
+            " [[x^n](u^a*(u*f)^k) vs [x^n]u^k with a=0, k=1]"
+        )
 
     def test_domination_checked_from_n_two(self):
         # As above, with the equal nonzero pair at the first index checked.
