@@ -41,6 +41,10 @@ COLORS_COMMAND = "src/imptables/commands/colors.py"
 
 # Claim index ranges that two mutants each shift, and the tests that pin
 # both ends of a range.
+COMMUTATIVITY_RANGE = """    every_n = range(realizer.order + 1)
+    cases = (
+        (realizer.product(a, b).coeffs, realizer.product(b, a).coeffs, every_n, {"a": a, "b": b})
+"""
 ASSOCIATIVITY_RANGE = """    every_n = range(realizer.order + 1)
     cases = (
         (
@@ -49,9 +53,7 @@ ASSOCIATIVITY_RANGE = """    every_n = range(realizer.order + 1)
 IDEAL_RANGE = """    above_one = range(2, realizer.order + 1)
     elements = tuple(elements)
 """
-SQUARE_RANGE = """            range(2, order + 1),
-            "g2^2 vs g2",
-"""
+SQUARE_RANGE = "        yield square, g2, range(2, order + 1), {\n"
 IDEAL_ENDS = "tests/test_monoid.py::TestIdealAndSubstitution::test_ideal_samples_checked_at_both_ends"
 SQUARE_ENDS = (
     "tests/test_monoid.py::TestPartitions::test_square_checked_against_the_total_at_both_ends"
@@ -302,8 +304,7 @@ _ROWS = [bytes(row).ljust(256, b"\\0") for row in _IMPLIES_TABLE]
     below 2 raises ValueError before anything is expanded.
     \"\"\"
     _check_tamper(tamper, KLEENE_SERIES + CLASSICAL_SERIES, order, "a series of either logic")
-    if k_max < 2:
-        raise ValueError(f"k_max must be at least 2, got {k_max}")
+    _check_k_max(k_max)
     reports: list[VerificationReport] = []
     for logic, names in SERIES.items():
         local_tamper = tamper if tamper is not None and tamper[0] in names else None
@@ -331,8 +332,7 @@ def run_all(
     below 2 raises ValueError before anything is expanded.
     \"\"\"
     _check_tamper(tamper, KLEENE_SERIES + CLASSICAL_SERIES, order, "a series of either logic")
-    if k_max < 2:
-        raise ValueError(f"k_max must be at least 2, got {k_max}")
+    _check_k_max(k_max)
     reports: list[VerificationReport] = []
     for logic, names in SERIES.items():
         local_tamper = tamper if tamper is not None and tamper[0] in names else None
@@ -355,16 +355,8 @@ def run_all(
     (
         "commutativity without its top coefficient",
         MONOID,
-        """    every_n = range(realizer.order + 1)
-    cases = (
-        (
-            realizer.product(a, b).coeffs,
-""",
-        """    every_n = range(realizer.order)
-    cases = (
-        (
-            realizer.product(a, b).coeffs,
-""",
+        COMMUTATIVITY_RANGE,
+        COMMUTATIVITY_RANGE.replace("range(realizer.order + 1)", "range(realizer.order)"),
         [
             "tests/test_monoid.py::TestCommutativityAndAssociativity"
             "::test_commutativity_checks_the_top_coefficient"
@@ -385,16 +377,8 @@ def run_all(
     (
         "commutativity without its constant coefficient",
         MONOID,
-        """    every_n = range(realizer.order + 1)
-    cases = (
-        (
-            realizer.product(a, b).coeffs,
-""",
-        """    every_n = range(1, realizer.order + 1)
-    cases = (
-        (
-            realizer.product(a, b).coeffs,
-""",
+        COMMUTATIVITY_RANGE,
+        COMMUTATIVITY_RANGE.replace("range(realizer.order + 1)", "range(1, realizer.order + 1)"),
         [
             "tests/test_monoid.py::TestCommutativityAndAssociativity"
             "::test_commutativity_checks_the_constant_coefficient"
@@ -423,8 +407,14 @@ def run_all(
     (
         "bound without its top coefficient",
         MONOID,
-        "above_one = range(2, order + 1)",
-        "above_one = range(2, order)",
+        """    above_one = range(2, realizer.order + 1)
+
+    def cases() -> Iterator[Case]:
+""",
+        """    above_one = range(2, realizer.order)
+
+    def cases() -> Iterator[Case]:
+""",
         ["tests/test_monoid.py::TestBound::test_bound_checks_the_top_coefficient"],
     ),
     (
@@ -505,9 +495,9 @@ def run_all(
     (
         "f identity's right side taking the left side's top coefficient",
         MONOID,
-        """(2 * (fk1 * realizer.series("u")) - fk1 + power("f", k - 2).shift()).coeffs,
+        """(2 * (fj * realizer.series("u")) - fj + power("f", i).shift()).coeffs,
 """,
-        """(2 * (fk1 * realizer.series("u")) - fk1 + power("f", k - 2).shift()).coeffs[:-1]
+        """(2 * (fj * realizer.series("u")) - fj + power("f", i).shift()).coeffs[:-1]
                 + power("f", k).coeffs[-1:],
 """,
         ["tests/test_monoid.py::TestPowerIdentities::test_identity_broken_at_the_top_only"],
@@ -518,6 +508,36 @@ def run_all(
         "claim, failed.format(count=count, **fields), order, False, witness",
         "claim, failed.format(count=count, **fields), order, True, witness",
         ["tests/test_monoid.py::TestBound::test_tampered_bound_fails"],
+    ),
+    (
+        "_check dropping the [logic] suffix",
+        MONOID,
+        'claim, order = f"{claim}[{realizer.logic}]", realizer.order',
+        "claim, order = claim, realizer.order",
+        ["tests/test_monoid.py::TestBound::test_tampered_bound_fails"],
+    ),
+    (
+        "_check's default relation always true",
+        MONOID,
+        "holds: Callable[[object, object], bool] = eq,",
+        "holds: Callable[[object, object], bool] = lambda lhs, rhs: True,",
+        ["tests/test_monoid.py::TestPartitions::test_three_u_checked_against_the_total"],
+    ),
+    (
+        "run_all leaving k_max to the power identities",
+        MONOID,
+        "    _check_k_max(k_max)\n    reports: list",
+        "    reports: list",
+        ["tests/test_monoid.py::TestRunAll::test_k_max_below_two_rejected_before_any_expansion"],
+    ),
+    (
+        "element exponents not checked for a tuple of ints",
+        MONOID,
+        """        if not isinstance(exponents, tuple) or not set(map(type, exponents)) <= {int}:
+            raise ValueError(f"exponents must be a tuple of ints, got {exponents!r}")
+""",
+        "",
+        ["tests/test_monoid.py::TestMonoidElement::test_exponents_must_be_a_tuple_of_ints"],
     ),
     (
         "environment value reported as the flag",

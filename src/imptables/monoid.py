@@ -11,9 +11,11 @@ reuses the sampled pair's product for its left-nested side.
 
 Every checker yields its cases to one runner, `_check`, which compares
 exact rational coefficients up to a truncation order and reports the
-first failing index with both sides as a witness.  A case names its
-witness context and failure detail as `str.format` templates with the
-elements they mention; only a failing case is formatted.
+first failing index with both sides as a witness.  A claim states its
+relation, its witness context and its failure detail once, the last two
+as `str.format` templates; a case carries only its two coefficient
+sequences, its indices and the fields those templates name (the
+elements it multiplies, say).  Only a failing case is formatted.
 A deliberate tamper hook can corrupt one coefficient of one generator so
 the pipeline's failure path can be exercised end to end.
 
@@ -64,6 +66,13 @@ SUBSTITUTION_EXTRA_CAP = 3
 SUBSTITUTION_POWER_CAP = 3
 
 
+def _generators(logic: str) -> tuple[str, ...]:
+    """The generators of ``logic``, which must be one of GENERATORS."""
+    if logic not in GENERATORS:
+        raise ValueError(f"logic must be 'kleene' or 'classical', got {logic!r}")
+    return GENERATORS[logic]
+
+
 class MonoidElement(_Record):
     """A formal product of generator powers, as an exponent vector.
 
@@ -77,16 +86,16 @@ class MonoidElement(_Record):
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         super().__init__(*args, **kwargs)
-        if self.logic not in GENERATORS:
-            raise ValueError(f"logic must be 'kleene' or 'classical', got {self.logic!r}")
-        names = GENERATORS[self.logic]
-        if len(self.exponents) != len(names):
+        names, exponents = _generators(self.logic), self.exponents
+        # Only a tuple of ints can key the realizer's memos and index its powers.
+        if not isinstance(exponents, tuple) or not set(map(type, exponents)) <= {int}:
+            raise ValueError(f"exponents must be a tuple of ints, got {exponents!r}")
+        if len(exponents) != len(names):
             raise ValueError(
-                f"{self.logic} elements need {len(names)} exponents, "
-                f"got {len(self.exponents)}"
+                f"{self.logic} elements need {len(names)} exponents, got {len(exponents)}"
             )
-        if any(e < 0 for e in self.exponents):
-            raise ValueError(f"exponents must be nonnegative, got {self.exponents}")
+        if any(e < 0 for e in exponents):
+            raise ValueError(f"exponents must be nonnegative, got {exponents}")
 
     @classmethod
     def identity(cls, logic: str) -> "MonoidElement":
@@ -168,6 +177,12 @@ class VerificationReport(_Record):
         return line
 
 
+def _check_k_max(k_max: int) -> None:
+    """Reject a k_max below 2: the power identities start at k = 2."""
+    if k_max < 2:
+        raise ValueError(f"k_max must be at least 2, got {k_max}")
+
+
 def _check_tamper(tamper: Tamper | None, names: Sequence[str], order: int, owner: str) -> None:
     """Reject a tamper whose target is not one of ``names`` (described as
     ``owner``), whose index lies outside 0..order, or whose delta is 0 (a
@@ -193,8 +208,7 @@ class Realizer:
     """
 
     def __init__(self, logic: str, order: int, tamper: Tamper | None = None):
-        if logic not in GENERATORS:
-            raise ValueError(f"logic must be 'kleene' or 'classical', got {logic!r}")
+        _generators(logic)
         if order < 2:
             raise ValueError(f"order must be at least 2 to check anything, got {order}")
         self.logic = logic
@@ -293,22 +307,16 @@ def _triples(
 
 # --- checkers ----------------------------------------------------------------
 
-# One case of a claim: two coefficient sequences, the relation that must hold
-# between them at every index in `ns`, the witness context and the failure
-# detail as `str.format` templates, and the fields those templates name.  The
-# context's "{n}" stands for the failing index and the detail's "{count}" for
-# the cases run so far.  Only a failing case is formatted, so a passing claim
-# never turns an element into text.  Claims yield their cases lazily, so work
-# stops at the first failure.
-Case = tuple[
-    Sequence,
-    Sequence,
-    Callable[[object, object], bool],
-    Iterable[int],
-    str,
-    str,
-    dict[str, object],
-]
+# One case of a claim: two coefficient sequences, the indices `ns` at which the
+# claim's relation must hold between them, and the fields that the claim's
+# witness context and failure detail name.  A claim states its relation and
+# both `str.format` templates once, in its `_check` call; the context's "{n}"
+# stands for the failing index and the detail's "{count}" for the cases run so
+# far.  Where cases differ in wording (each power identity, each partition),
+# a field carries the case's own text.  Only a failing case is formatted, so a
+# passing claim never turns an element into text.  Claims yield their cases
+# lazily, so work stops at the first failure.
+Case = tuple[Sequence, Sequence, Iterable[int], dict[str, object]]
 
 
 def _below_total(c, g) -> bool:
@@ -322,15 +330,18 @@ def _dominated(lhs, rhs) -> bool:
 
 
 def _check(
-    claim: str, order: int, cases: Iterable[Case], passed: str
+    realizer: Realizer, claim: str, cases: Iterable[Case],
+    context: str, failed: str, passed: str, holds: Callable[[object, object], bool] = eq,
 ) -> VerificationReport:
-    """Run the cases in turn; the first index where a relation fails ends
-    the claim with both values as the witness.  `passed` is the detail
-    reported when every case holds ("{count}" is the number of cases).
+    """Run the `Case`s in turn; the first index where the relation `holds`
+    fails ends the claim with both values as the witness.  The report is
+    labelled ``claim[logic]`` at the realizer's order.  `context` and
+    `failed` template the witness context and the failure detail; `passed`
+    is the detail when every case holds ("{count}" is the number of cases).
     """
+    claim, order = f"{claim}[{realizer.logic}]", realizer.order
     count = 0
-    for lhs, rhs, holds, ns, context, failed, fields in cases:
-        count += 1
+    for count, (lhs, rhs, ns, fields) in enumerate(cases, 1):
         for n in ns:
             if not holds(lhs[n], rhs[n]):
                 witness = Witness(n, lhs[n], rhs[n], context.format(n=n, **fields))
@@ -346,21 +357,15 @@ def verify_commutativity(
     """realize(a)*realize(b) equals realize(b)*realize(a), coefficientwise."""
     every_n = range(realizer.order + 1)
     cases = (
-        (
-            realizer.product(a, b).coeffs,
-            realizer.product(b, a).coeffs,
-            eq,
-            every_n,
-            "({a})*({b}) vs ({b})*({a})",
-            "product order changed a result among {count} pairs",
-            {"a": a, "b": b},
-        )
+        (realizer.product(a, b).coeffs, realizer.product(b, a).coeffs, every_n, {"a": a, "b": b})
         for a, b in pairs
     )
     return _check(
-        f"commutativity[{realizer.logic}]",
-        realizer.order,
+        realizer,
+        "commutativity",
         cases,
+        "({a})*({b}) vs ({b})*({a})",
+        "product order changed a result among {count} pairs",
         "{count} sampled pairs multiply identically in both orders",
     )
 
@@ -379,18 +384,17 @@ def verify_associativity(
         (
             (realizer.product(a, b) * realizer.realize(c)).coeffs,
             (realizer.realize(a) * realizer.product(b, c)).coeffs,
-            eq,
             every_n,
-            "(({a})*({b}))*({c}) vs ({a})*(({b})*({c}))",
-            "association order changed a result among {count} triples",
             {"a": a, "b": b, "c": c},
         )
         for a, b, c in triples
     )
     return _check(
-        f"associativity[{realizer.logic}]",
-        realizer.order,
+        realizer,
+        "associativity",
         cases,
+        "(({a})*({b}))*({c}) vs ({a})*(({b})*({c}))",
+        "association order changed a result among {count} triples",
         "{count} sampled triples associate identically",
     )
 
@@ -404,30 +408,24 @@ def verify_bound(
     The identity is out of scope (its x^0 coefficient is 1) and raises
     ValueError if passed.
     """
-    order = realizer.order
     total = realizer.total().coeffs
-    above_one = range(2, order + 1)
+    above_one = range(2, realizer.order + 1)
 
     def cases() -> Iterator[Case]:
         for e in elements:
             if e.is_identity:
                 raise ValueError("the bound claim excludes the identity element")
-            yield (
-                realizer.realize(e).coeffs,
-                total,
-                _below_total,
-                above_one,
-                "[x^{n}]({e}) vs total",
-                "a coefficient of {e} escapes [0, total) among {count} elements",
-                {"e": e},
-            )
+            yield realizer.realize(e).coeffs, total, above_one, {"e": e}
 
     return _check(
-        f"bound[{realizer.logic}]",
-        order,
+        realizer,
+        "bound",
         cases(),
+        "[x^{n}]({e}) vs total",
+        "a coefficient of {e} escapes [0, total) among {count} elements",
         "{count} nonidentity elements stay strictly below the total "
-        f"series for 2 <= n <= {order}",
+        f"series for 2 <= n <= {realizer.order}",
+        _below_total,
     )
 
 
@@ -435,57 +433,50 @@ def verify_power_identities(realizer: Realizer, k_max: int) -> VerificationRepor
     """The three generator-power identities for 2 <= k <= k_max.
 
     Three-valued only: the identities relate u, f, t and the total g.
+    Each case names its identity, with j = k - 1 and i = k - 2.
     """
     if realizer.logic != "kleene":
         raise ValueError("power identities are stated for the three-valued generators")
-    if k_max < 2:
-        raise ValueError(f"k_max must be at least 2, got {k_max}")
+    _check_k_max(k_max)
     every_n = range(realizer.order + 1)
     f, g = realizer.series("f"), realizer.series("g")
     power = realizer.power
 
     def cases() -> Iterator[Case]:
         for k in range(2, k_max + 1):
-            broke = f"an identity broke at k={k}"
+            j, i = k - 1, k - 2
             yield (
                 (3 * power("u", k)).coeffs,
-                (power("u", k - 1) - power("u", k - 2).shift()).coeffs,
-                eq,
+                (power("u", j) - power("u", i).shift()).coeffs,
                 every_n,
-                f"3u^{k} vs u^{k - 1} - x*u^{k - 2}",
-                broke,
-                {},
+                dict(k=k, identity=f"3u^{k} vs u^{j} - x*u^{i}"),
             )
-            fk1 = power("f", k - 1)
+            fj = power("f", j)
             yield (
                 power("f", k).coeffs,
-                (2 * (fk1 * realizer.series("u")) - fk1 + power("f", k - 2).shift()).coeffs,
-                eq,
+                (2 * (fj * realizer.series("u")) - fj + power("f", i).shift()).coeffs,
                 every_n,
-                f"f^{k} vs 2f^{k - 1}u - f^{k - 1} + x*f^{k - 2}",
-                broke,
-                {},
+                dict(k=k, identity=f"f^{k} vs 2f^{j}u - f^{j} + x*f^{i}"),
             )
-            tk1 = power("t", k - 1)
+            tj = power("t", j)
             t_rhs = (
-                (2 * (tk1 * power("g", 2)) - 2 * (tk1 * g * f)) / 3
-                + tk1 * power("f", 2)
-                + tk1.shift()
+                (2 * (tj * power("g", 2)) - 2 * (tj * g * f)) / 3
+                + tj * power("f", 2)
+                + tj.shift()
             )
             yield (
                 power("t", k).coeffs,
                 t_rhs.coeffs,
-                eq,
                 every_n,
-                f"t^{k} vs (2/3)t^{k - 1}g^2 - (2/3)t^{k - 1}gf + t^{k - 1}f^2 + x*t^{k - 1}",
-                broke,
-                {},
+                dict(k=k, identity=f"t^{k} vs (2/3)t^{j}g^2 - (2/3)t^{j}gf + t^{j}f^2 + x*t^{j}"),
             )
 
     return _check(
-        "power-identities[kleene]",
-        realizer.order,
+        realizer,
+        "power-identities",
         cases(),
+        "{identity}",
+        "an identity broke at k={k}",
         f"u, f and t power identities hold exactly for 2 <= k <= {k_max}",
     )
 
@@ -497,27 +488,34 @@ def verify_partitions(realizer: Realizer) -> VerificationReport:
     Three-valued: t + f + u = g and g = 3u.  Classical: r + s = g2, the
     four pairwise convolutions of r and s sum to g2^2, g2^2 matches g2
     from n = 2 on, and the convolutions match the brute-force color
-    classification for 2 <= n <= COLOR_N_MAX.
+    classification for 2 <= n <= COLOR_N_MAX.  The claims differ in
+    wording, so each case names its own text.
     """
     order = realizer.order
-    claim = f"partitions[{realizer.logic}]"
     every_n = range(order + 1)
 
     if realizer.logic == "kleene":
         t, f, u = (realizer.series(name) for name in ("t", "f", "u"))
         g = realizer.total().coeffs
         cases = [
-            ((t + f + u).coeffs, g, eq, every_n, "t + f + u vs g", "t + f + u missed g", {}),
-            ((3 * u).coeffs, g, eq, every_n, "3u vs g", "3u missed g", {}),
+            ((t + f + u).coeffs, g, every_n, {"side": "t + f + u"}),
+            ((3 * u).coeffs, g, every_n, {"side": "3u"}),
         ]
-        return _check(claim, order, cases, "t + f + u = g and g = 3u coefficientwise")
+        return _check(
+            realizer,
+            "partitions",
+            cases,
+            "{side} vs g",
+            "{side} missed g",
+            "t + f + u = g and g = 3u coefficientwise",
+        )
 
     r, s = realizer.series("r"), realizer.series("s")
     g2 = realizer.total().coeffs
     color_n = min(COLOR_N_MAX, order)
 
     def classical_cases() -> Iterator[Case]:
-        yield (r + s).coeffs, g2, eq, every_n, "r + s vs g2", "r + s missed g2", {}
+        yield (r + s).coeffs, g2, every_n, {"context": "r + s vs g2", "failed": "r + s missed g2"}
         # Keyed by the truth values of the root's (left, right) subformulas,
         # as the color classes are: rr, rs, sr, ss.
         values = SERIES_VALUES["classical"]
@@ -527,42 +525,28 @@ def verify_partitions(realizer: Realizer) -> VerificationReport:
             for b in values
         }
         square = realizer.power("g2", 2).coeffs
-        four_sum = reduce(add, quadrants.values())
-        yield (
-            four_sum.coeffs,
-            square,
-            eq,
-            every_n,
-            "rr + rs + sr + ss vs g2^2",
-            "the four convolutions missed g2^2",
-            {},
-        )
-        yield (
-            square,
-            g2,
-            eq,
-            range(2, order + 1),
-            "g2^2 vs g2",
-            "g2^2 diverged from g2 at n >= 2",
-            {},
-        )
+        yield reduce(add, quadrants.values()).coeffs, square, every_n, {
+            "context": "rr + rs + sr + ss vs g2^2",
+            "failed": "the four convolutions missed g2^2",
+        }
+        yield square, g2, range(2, order + 1), {
+            "context": "g2^2 vs g2",
+            "failed": "g2^2 diverged from g2 at n >= 2",
+        }
         for n in range(2, color_n + 1):
             classes = color_class_counts(n, CLASSICAL)
             for key, series in quadrants.items():
-                yield (
-                    {n: classes[key]},
-                    series.coeffs,
-                    eq,
-                    (n,),
-                    f"color class {key} at n={n}",
-                    "brute-force color classes disagreed with the convolutions",
-                    {},
-                )
+                yield {n: classes[key]}, series.coeffs, (n,), {
+                    "context": f"color class {key} at n={n}",
+                    "failed": "brute-force color classes disagreed with the convolutions",
+                }
 
     return _check(
-        claim,
-        order,
+        realizer,
+        "partitions",
         classical_cases(),
+        "{context}",
+        "{failed}",
         "r + s = g2, the four convolutions sum to g2^2, g2^2 matches g2 "
         f"for n >= 2, and color classes agree for 2 <= n <= {color_n}",
     )
@@ -584,24 +568,19 @@ def verify_ideal_samples(
         for k in range(1, IDEAL_POWER_CAP + 1)
     ]
     cases = (
-        (
-            realizer.realize(p * a).coeffs,
-            total,
-            _below_total,
-            above_one,
-            "[x^{n}](({p})*({a})) vs total",
-            "a generator multiple escaped the bound among {count} products",
-            {"p": p, "a": a},
-        )
+        (realizer.realize(p * a).coeffs, total, above_one, {"p": p, "a": a})
         for p in powers
         for a in elements
     )
     return _check(
-        f"ideal-containment[{realizer.logic}]",
-        realizer.order,
+        realizer,
+        "ideal-containment",
         cases,
+        "[x^{n}](({p})*({a})) vs total",
+        "a generator multiple escaped the bound among {count} products",
         f"{{count}} products of generator powers (up to {IDEAL_POWER_CAP}) with sampled "
         "elements stay strictly below the total",
+        _below_total,
     )
 
 
@@ -631,22 +610,22 @@ def verify_substitution_bounds(realizer: Realizer) -> VerificationReport:
                 MonoidElement.from_powers("kleene", **{extra_name: a + k, partner: k})
             ).coeffs,
             realizer.power(target, k).coeffs,
-            _dominated,
             above_one,
-            f"{pattern} with a={a}, k={k}",
-            f"a domination pattern broke (a={a}, k={k})",
-            {},
+            {"pattern": pattern, "a": a, "k": k},
         )
         for extra_name, partner, target, pattern in families
         for a in range(SUBSTITUTION_EXTRA_CAP + 1)
         for k in range(1, SUBSTITUTION_POWER_CAP + 1)
     )
     return _check(
-        "substitution-bounds[kleene]",
-        realizer.order,
+        realizer,
+        "substitution-bounds",
         cases,
+        "{pattern} with a={a}, k={k}",
+        "a domination pattern broke (a={a}, k={k})",
         "{count} sampled (a, k) choices dominate as required, strictly "
         "wherever the pure power is nonzero",
+        _dominated,
     )
 
 
@@ -667,8 +646,7 @@ def run_all(
     below 2 raises ValueError before anything is expanded.
     """
     _check_tamper(tamper, KLEENE_SERIES + CLASSICAL_SERIES, order, "a series of either logic")
-    if k_max < 2:
-        raise ValueError(f"k_max must be at least 2, got {k_max}")
+    _check_k_max(k_max)
     reports: list[VerificationReport] = []
     for logic, names in SERIES.items():
         local_tamper = tamper if tamper is not None and tamper[0] in names else None

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -134,6 +135,18 @@ class TestMonoidElement:
                 "classical", r=1
             )
 
+    @pytest.mark.parametrize(
+        "exponents",
+        [[1, 0, 0], (1.5, 0, 0), (1, "0", 0), (Fraction(1), 0, 0), 3],
+        ids=["list", "float", "str", "fraction", "int"],
+    )
+    def test_exponents_must_be_a_tuple_of_ints(self, exponents):
+        # A list cannot key the realizer's memos and a float cannot index
+        # its powers, so neither is built at all.
+        message = f"exponents must be a tuple of ints, got {exponents!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MonoidElement("kleene", exponents)
+
     @given(elements("kleene"), elements("kleene"), elements("kleene"))
     def test_exponent_monoid_laws(self, a, b, c):
         assert a * b == b * a
@@ -189,6 +202,12 @@ class TestRealizer:
     def test_order_floor(self):
         with pytest.raises(ValueError):
             Realizer("kleene", 1)
+
+    def test_logic_rule_shared_with_elements(self):
+        message = "^logic must be 'kleene' or 'classical', got 'boolean'$"
+        for build in (lambda: Realizer("boolean", 8), lambda: MonoidElement("boolean", (1,))):
+            with pytest.raises(ValueError, match=message):
+                build()
 
     @settings(max_examples=25)
     @given(elements("kleene", max_exponent=3), elements("kleene", max_exponent=3))
