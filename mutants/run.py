@@ -59,6 +59,8 @@ SQUARE_ENDS = (
     "tests/test_monoid.py::TestPartitions::test_square_checked_against_the_total_at_both_ends"
 )
 COLOR_ENDS = "tests/test_monoid.py::TestPartitions::test_color_classes_checked_at_both_ends"
+PARSER_TESTS = ["tests/test_parser.py"]
+TAMPER_ENDS = "tests/test_cli.py::TestMonoid::test_tamper_at_either_end_of_the_order"
 # The line of `cli.main` that imports the command module it runs.
 DISPATCH = """\
             command = importlib.import_module(f".commands.{args.command}", __package__)
@@ -628,6 +630,90 @@ def run_all(
         "from operator import mul\n",
         "from fractions import Fraction\nfrom operator import mul\n",
         ["tests/test_startup.py::TestStartupLoadsNoSpareCode::test_no_call_loads_fractions"],
+    ),
+    (
+        "fast path accepting a bad choice",
+        CLI,
+        """        if choices is not None and value not in choices:
+            return None
+""",
+        "",
+        PARSER_TESTS,
+    ),
+    (
+        "fast path accepting an abbreviated flag",
+        CLI,
+        "        keywords = arguments.get(name)\n",
+        "        keywords = next((v for k, v in arguments.items() if k.startswith(name)), None)\n",
+        PARSER_TESTS,
+    ),
+    (
+        "fast path without the required-flag check",
+        CLI,
+        """    if any(keywords.get("required") and name not in names for name, keywords in arguments.items()):
+        return None
+""",
+        "",
+        PARSER_TESTS,
+    ),
+    (
+        "fast path accepting a repeated flag",
+        CLI,
+        "if len(names) != len(texts) or len(set(names)) != len(names):",
+        "if len(names) != len(texts):",
+        PARSER_TESTS,
+    ),
+    (
+        "fast path accepting a value that starts with a dash",
+        CLI,
+        'if keywords is None or text.startswith("-"):',
+        "if keywords is None:",
+        PARSER_TESTS,
+    ),
+    (
+        "cli imports argparse at module level",
+        CLI,
+        "import contextlib\n",
+        "import argparse\nimport contextlib\n",
+        [
+            "tests/test_startup.py::TestStartupLoadsNoSpareCode"
+            "::test_no_fast_path_call_loads_argparse"
+        ],
+    ),
+    (
+        "cli imports series at module level",
+        CLI,
+        "import imptables\n",
+        "import imptables\nimport imptables.series\n",
+        ["tests/test_startup.py::TestSubcommandImports::test_table_loads_no_series"],
+    ),
+    (
+        "--tamper index 0 rejected",
+        MONOID_COMMAND,
+        "not 0 <= tamper[1] <= order",
+        "not 0 < tamper[1] <= order",
+        [TAMPER_ENDS],
+    ),
+    (
+        "--tamper index at the order rejected",
+        MONOID_COMMAND,
+        "not 0 <= tamper[1] <= order",
+        "not 0 <= tamper[1] < order",
+        [TAMPER_ENDS],
+    ),
+    (
+        "claim case count starting at 1",
+        MONOID,
+        "    count = 0\n",
+        "    count = 1\n",
+        ["tests/test_monoid.py::TestCommutativityAndAssociativity::test_no_pairs_is_zero_pairs"],
+    ),
+    (
+        "colors --n default 5",
+        COLORS_COMMAND,
+        "default=4, floor=2",
+        "default=5, floor=2",
+        ["tests/test_cli.py::TestColors::test_default_n_is_4"],
     ),
     (
         "main imports every command module",

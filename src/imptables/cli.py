@@ -43,24 +43,30 @@ budget is the semantics' `brute_budget`, and which truth value each
 count series counts is `series.SERIES_VALUES`.
 
 Each call loads and compiles only the code its subcommand runs.  Every
-call loads this module and `series`, whose names the parser offers, and
-then `main` imports the one command module it dispatches to: `series`
-loads nothing more, `table` and `colors` load `logic`, `verify` loads
-`logic` and `recurrences`, and `monoid` loads `monoid` (which imports
-`logic`).  No call loads `fractions` (nor the `decimal` and `numbers`
+call loads this module, and `main` imports the one command module it
+dispatches to: `series` loads `series`, `table` loads `logic`, `colors`
+loads `logic` and `series`, `verify` loads `logic`, `recurrences` and
+`series`, and `monoid` loads `monoid` (which imports `logic` and
+`series`).  No call loads `fractions` (nor the `decimal` and `numbers`
 modules it imports) unless it forms a non-integral value.
+
+Each subcommand's arguments are stated once, in `COMMANDS`.  `main`
+first reads argv with `_fast_parse`, which takes only the plain form
+(exact long flags, each once, with valid values) and imports nothing.
+Any other argv goes unchanged to argparse, built from the same table,
+so no call loads `argparse` (nor the `gettext` and `locale` modules it
+imports) unless it asks for help or makes a usage error, and help and
+usage-error text are argparse's own.
 """
 
-import argparse
 import contextlib
 import importlib
 import os
 import sys
 from collections.abc import Iterable, Sequence
+from types import SimpleNamespace
 
 import imptables
-
-from .series import SERIES_NAMES, ConsistencyError
 
 # A subcommand's exit code and the chunks of text it writes.
 Result = tuple[int, Iterable[str]]
@@ -108,16 +114,69 @@ def _render(fmt: str, payload: object, lines: list[str]) -> list[str]:
     return ["\n".join(lines) + "\n"]
 
 
-# --- parser ------------------------------------------------------------------
+# --- command line ------------------------------------------------------------
 
 
-def _finish(parser: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
-    """After a command's own arguments: --format with ``formats`` and --output."""
-    parser.add_argument("--format", choices=formats, default="plain")
-    parser.add_argument("--output", metavar="PATH", help="write to a file instead of stdout")
+def _finish(formats: tuple[str, ...]) -> dict[str, dict]:
+    """A command's last two arguments: --format with ``formats`` and --output."""
+    return {
+        "--format": {"choices": formats, "default": "plain"},
+        "--output": {"metavar": "PATH", "help": "write to a file instead of stdout"},
+    }
 
 
-def build_parser() -> argparse.ArgumentParser:
+FORMATS = ("plain", "csv", "json")
+SEMANTICS = {"type": int, "choices": (2, 3)}
+BUDGET = {"type": int, "help": "largest n for brute force"}
+# The command line, stated once: each subcommand's help and its arguments
+# in order, as the name and keywords `add_argument` takes.  `build_parser`
+# builds argparse's parser from it, and `_fast_parse` reads it.  Choices
+# given as a function are looked up when needed, so only a call that names
+# a series loads `series`.
+COMMANDS = {
+    "series": ("coefficients of one count series", {
+        "name": {"choices": lambda: imptables.SERIES_NAMES},
+        "--n": {"type": int, "help": "how many coefficients (from n=1)"},
+        **_finish((*FORMATS, "bfile")),
+    }),
+    "table": ("full truth table of one bracketing", {
+        "--n": {"type": int, "required": True, "help": "number of variables"},
+        "--index": {"type": int, "help": "bracketing index, 0-based"},
+        "--semantics": {**SEMANTICS, "help": "2 classical, 3 Kleene"},
+        **_finish(FORMATS),
+    }),
+    "verify": ("three-way agreement: brute force, recurrence, closed form", {
+        "--n": {"type": int, "help": "largest n (default 7 or 9)"},
+        "--semantics": SEMANTICS,
+        "--budget": BUDGET,
+        **_finish(FORMATS),
+    }),
+    "monoid": ("run the algebraic verification suites", {
+        "--order": {"type": int, "help": "truncation order"},
+        "--kmax": {"type": int},
+        "--seed": {"type": int, "help": "sampling seed"},
+        "--tamper": {
+            "metavar": "NAME:INDEX:DELTA",
+            "help": "corrupt one coefficient first (negative control)",
+        },
+        **_finish(("plain", "json")),
+    }),
+    "colors": ("root-split color class counts", {
+        "--n": {"type": int}, "--semantics": SEMANTICS, "--budget": BUDGET, **_finish(FORMATS)
+    }),
+}
+
+
+def _choices(keywords: dict) -> object:
+    choices = keywords.get("choices")
+    return choices() if callable(choices) else choices
+
+
+def build_parser():
+    """argparse's parser for `COMMANDS`; `main` needs it only for help and
+    usage errors, so argparse is imported here."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="imptables",
         description=(
@@ -126,49 +185,50 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    formats = ("plain", "csv", "json")
-
-    p_series = sub.add_parser("series", help="coefficients of one count series")
-    p_series.add_argument("name", choices=SERIES_NAMES)
-    p_series.add_argument("--n", type=int, help="how many coefficients (from n=1)")
-    _finish(p_series, (*formats, "bfile"))
-
-    p_table = sub.add_parser("table", help="full truth table of one bracketing")
-    p_table.add_argument("--n", type=int, required=True, help="number of variables")
-    p_table.add_argument("--index", type=int, help="bracketing index, 0-based")
-    p_table.add_argument("--semantics", type=int, choices=(2, 3), help="2 classical, 3 Kleene")
-    _finish(p_table, formats)
-
-    p_verify = sub.add_parser(
-        "verify", help="three-way agreement: brute force, recurrence, closed form"
-    )
-    p_verify.add_argument("--n", type=int, help="largest n (default 7 or 9)")
-    p_verify.add_argument("--semantics", type=int, choices=(2, 3))
-    p_verify.add_argument("--budget", type=int, help="largest n for brute force")
-    _finish(p_verify, formats)
-
-    p_monoid = sub.add_parser("monoid", help="run the algebraic verification suites")
-    p_monoid.add_argument("--order", type=int, help="truncation order")
-    p_monoid.add_argument("--kmax", type=int)
-    p_monoid.add_argument("--seed", type=int, help="sampling seed")
-    p_monoid.add_argument(
-        "--tamper",
-        metavar="NAME:INDEX:DELTA",
-        help="corrupt one coefficient first (negative control)",
-    )
-    _finish(p_monoid, ("plain", "json"))
-
-    p_colors = sub.add_parser("colors", help="root-split color class counts")
-    p_colors.add_argument("--n", type=int)
-    p_colors.add_argument("--semantics", type=int, choices=(2, 3))
-    p_colors.add_argument("--budget", type=int, help="largest n for brute force")
-    _finish(p_colors, formats)
-
+    for command, (help_text, arguments) in COMMANDS.items():
+        command_parser = sub.add_parser(command, help=help_text)
+        for name, keywords in arguments.items():
+            command_parser.add_argument(name, **{**keywords, "choices": _choices(keywords)})
     return parser
 
 
+def _fast_parse(argv: Sequence[str]) -> SimpleNamespace | None:
+    """``argv`` parsed as argparse parses it, if it has the one plain form
+    read here: a subcommand, `series`' name, then exact long flags, each
+    given once with a value that does not start with "-" and passes the
+    flag's type and choices, every required flag among them.  None for any
+    other argv, which `main` hands to argparse unchanged."""
+    command, *rest = argv or [""]
+    if command not in COMMANDS:
+        return None
+    arguments = COMMANDS[command][1]
+    names = [name for name in arguments if not name.startswith("-")]
+    texts = rest[: len(names)] + rest[len(names) + 1 :: 2]
+    names += rest[len(names) :: 2]
+    # A flag named like the positional repeats it.
+    if len(names) != len(texts) or len(set(names)) != len(names):
+        return None
+    values = {name.lstrip("-"): keywords.get("default") for name, keywords in arguments.items()}
+    for name, text in zip(names, texts):
+        keywords = arguments.get(name)
+        if keywords is None or text.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(text)
+        except ValueError:
+            return None
+        choices = _choices(keywords)
+        if choices is not None and value not in choices:
+            return None
+        values[name.lstrip("-")] = value
+    if any(keywords.get("required") and name not in names for name, keywords in arguments.items()):
+        return None
+    return SimpleNamespace(command=command, **values)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _fast_parse(argv) or build_parser().parse_args(argv)
     try:
         if args.output is None:
             destination = contextlib.nullcontext(sys.stdout)
@@ -186,10 +246,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ConsistencyError as exc:
-        # A closed form that fails its own count check is a counterexample.
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
         # A failed write or flush (a closed pipe, a full disk): an --output
         # path that cannot be opened is a usage error above.
@@ -197,10 +253,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             _discard_stdout()
         print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
         return 2
+    # These two are named through the package's lazy export, and last: each
+    # expression is evaluated (and its module loaded) only for an exception
+    # that no clause above caught.
+    except imptables.ConsistencyError as exc:
+        # A closed form that fails its own count check is a counterexample.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except imptables.BudgetError as exc:
-        # Named through the package's lazy export, and last: the expression
-        # is evaluated (and `logic` loaded) only for an exception that no
-        # clause above caught.
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

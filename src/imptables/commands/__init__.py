@@ -1,4 +1,6 @@
-"""One module per subcommand, each with ``run(args) -> Result``.
+"""One module per subcommand, each with ``run(args) -> Result``, where
+``args`` is the parsed command line, read by attribute (`cli`'s fast
+path gives a `SimpleNamespace`, argparse a `Namespace`).
 
 `imptables.cli.main` imports only the module of the subcommand it runs,
 so a call compiles no other subcommand's code.  Each reads its integer

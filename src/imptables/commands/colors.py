@@ -1,13 +1,11 @@
 """``imptables colors``: root-split color classes, with convolutions in
 classical mode."""
 
-import argparse
-
 from ..cli import Result, _render, _setting
 from ..series import SERIES_VALUES, closed_form
 
 
-def run(args: argparse.Namespace) -> Result:
+def run(args) -> Result:
     from ..logic import color_class_counts, semantics_from_radix
 
     sem = semantics_from_radix(_setting("--semantics", args.semantics, default=3))

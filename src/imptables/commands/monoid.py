@@ -1,7 +1,5 @@
 """``imptables monoid``: the algebraic verification suites."""
 
-import argparse
-
 from ..cli import Result, _render, _setting
 
 
@@ -30,7 +28,7 @@ def _witness_json(witness) -> dict | None:
     return {"n": witness.n, "lhs": lhs, "rhs": rhs, "context": witness.context}
 
 
-def run(args: argparse.Namespace) -> Result:
+def run(args) -> Result:
     from ..monoid import DEFAULT_K_MAX, DEFAULT_ORDER, DEFAULT_SEED, run_all
 
     order = _setting("--order", args.order, "IMPTABLES_ORDER", DEFAULT_ORDER, 2)

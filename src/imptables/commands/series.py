@@ -1,12 +1,10 @@
 """``imptables series NAME``: coefficients of one count series."""
 
-import argparse
-
 from ..cli import Result, _render, _setting
 from ..series import closed_form, series_description
 
 
-def run(args: argparse.Namespace) -> Result:
+def run(args) -> Result:
     n_max = _setting("--n", args.n, default=10, floor=1)
     series = closed_form(args.name, n_max)
     values = [series.coefficient(n) for n in range(1, n_max + 1)]

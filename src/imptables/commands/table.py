@@ -1,6 +1,5 @@
 """``imptables table``: one bracketing's full truth table."""
 
-import argparse
 from collections.abc import Iterator
 
 from ..cli import Result, _setting
@@ -60,7 +59,7 @@ def _table_lines(tree, n: int, sem, fmt: str) -> Iterator[str]:
     yield footer
 
 
-def run(args: argparse.Namespace) -> Result:
+def run(args) -> Result:
     from ..logic import BudgetError, bracketing_at, semantics_from_radix
 
     sem = semantics_from_radix(_setting("--semantics", args.semantics, default=3))

@@ -1,7 +1,5 @@
 """``imptables verify``: brute force vs recurrence vs closed form, per n."""
 
-import argparse
-
 from ..cli import Result, _render, _setting
 from ..series import SERIES_VALUES, closed_form
 
@@ -36,7 +34,7 @@ def _verify_rows(n_max: int, sem, names: dict[str, int], limit: int) -> list[dic
     return rows
 
 
-def run(args: argparse.Namespace) -> Result:
+def run(args) -> Result:
     from ..logic import semantics_from_radix
 
     sem = semantics_from_radix(_setting("--semantics", args.semantics, default=3))

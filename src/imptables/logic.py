@@ -111,7 +111,7 @@ def semantics_from_radix(radix: int) -> Semantics:
         return CLASSICAL
     if radix == 3:
         return KLEENE
-    raise ValueError(f"radix must be 2 or 3, got {radix}")
+    raise ValueError(f"radix must be 2 or 3, got {radix!r}")
 
 
 def _check_value(v: int, sem: Semantics) -> None:

@@ -99,11 +99,11 @@ class MonoidElement(_Record):
 
     @classmethod
     def identity(cls, logic: str) -> "MonoidElement":
-        return cls(logic, (0,) * len(GENERATORS[logic]))
+        return cls(logic, (0,) * len(_generators(logic)))
 
     @classmethod
     def from_powers(cls, logic: str, **powers: int) -> "MonoidElement":
-        names = GENERATORS[logic]
+        names = _generators(logic)
         unknown = set(powers) - set(names)
         if unknown:
             raise ValueError(f"unknown generators for {logic}: {sorted(unknown)}")
@@ -279,7 +279,7 @@ def default_sample(logic: str, seed: int = 0) -> tuple[MonoidElement, ...]:
     included), then SAMPLE_RANDOM_COUNT seeded random vectors with each
     exponent <= SAMPLE_EXPONENT_CAP.  Deterministic for a given seed.
     """
-    names = GENERATORS[logic]
+    names = _generators(logic)
     width = len(names)
     elements = [
         MonoidElement(logic, exps)

@@ -310,6 +310,13 @@ class TestMonoid:
         assert out.endswith("counterexample found\n")
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("index", ["0", "8"], ids=["first", "last"])
+    def test_tamper_at_either_end_of_the_order(self, capsys, index):
+        code, out, err = run(capsys, "monoid", "--order", "8", "--tamper", f"t:{index}:1")
+        assert (code, err) == (1, "")
+        assert out.startswith(f"tamper applied: t coefficient {index} shifted by 1\n")
+        assert "\nFAIL partitions[kleene] (order 8): " in out
+
     def test_tamper_json_carries_witness(self, capsys):
         code, out, _ = run(
             capsys,
@@ -415,6 +422,11 @@ class TestMonoid:
 
 
 class TestColors:
+    def test_default_n_is_4(self, capsys):
+        code, out, _ = run(capsys, "colors")
+        assert code == 0
+        assert out.startswith("root-split color classes, n=4 [kleene]\n")
+
     def test_classical_n4(self, capsys):
         code, out, _ = run(capsys, "colors", "--n", "4", "--semantics", "2")
         assert code == 0

@@ -87,9 +87,17 @@ class TestSemantics:
         with pytest.raises(ValueError):
             semantics_from_radix(4)
 
+    @pytest.mark.parametrize("radix, shown", [(4, "4"), ("3", "'3'")])
+    def test_from_radix_error_shows_the_type(self, radix, shown):
+        with pytest.raises(ValueError, match=f"^radix must be 2 or 3, got {shown}$"):
+            semantics_from_radix(radix)
+
     def test_values_match_radix(self):
         assert KLEENE.values == (0, 1, 2)
         assert CLASSICAL.values == (0, 1)
+
+    def test_truth_value_constants(self):
+        assert (logic.FALSE, logic.TRUE, logic.UNKNOWN) == (0, 1, 2)
 
 
 class TestBracketings:

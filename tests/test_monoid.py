@@ -209,6 +209,20 @@ class TestRealizer:
             with pytest.raises(ValueError, match=message):
                 build()
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: MonoidElement.identity("boolean"),
+            lambda: MonoidElement.from_powers("boolean", t=1),
+            lambda: default_sample("boolean"),
+        ],
+        ids=["identity", "from_powers", "default_sample"],
+    )
+    def test_logic_rule_shared_with_the_other_entry_points(self, build):
+        message = "^logic must be 'kleene' or 'classical', got 'boolean'$"
+        with pytest.raises(ValueError, match=message):
+            build()
+
     @settings(max_examples=25)
     @given(elements("kleene", max_exponent=3), elements("kleene", max_exponent=3))
     def test_realize_is_a_morphism(self, a, b):
@@ -261,6 +275,11 @@ class TestCommutativityAndAssociativity:
             kleene_realizer, [(t, f), (u2, t3f), (i, t3f)]
         )
         assert report.verified and report.witness is None
+
+    def test_no_pairs_is_zero_pairs(self, kleene_realizer):
+        report = verify_commutativity(kleene_realizer, [])
+        assert report.verified
+        assert report.detail == "0 sampled pairs multiply identically in both orders"
 
     def test_identity_pair_realizes_to_partner(self, kleene_realizer):
         a = MonoidElement.from_powers("kleene", u=2, t=1)

@@ -1,4 +1,5 @@
-"""The command line's help and usage-error text is argparse's own.
+"""The command line's help and usage-error text is argparse's own, and
+`cli._fast_parse` parses only what argparse parses the same way.
 
 `build_parser` below is the reference: `cli`'s parser as it was written
 out by hand, one `add_argument` call per flag, copied verbatim from
@@ -12,7 +13,10 @@ import contextlib
 import io
 
 import pytest
+from hypothesis import event, given, settings
+from test_exit_contract import calls
 
+from imptables import cli
 from imptables.cli import main
 from imptables.series import SERIES_NAMES
 
@@ -73,6 +77,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def typed(namespace):
+    """A namespace's attributes with each value's type, so 2 differs from True."""
+    return {name: (type(value), value) for name, value in vars(namespace).items()}
+
+
 def exit_and_text(parse, argv):
     """``parse(argv)``'s exit code, stdout and stderr; it must exit."""
     out, err = io.StringIO(), io.StringIO()
@@ -118,3 +127,58 @@ def test_usage_error_is_the_reference_text(argv):
     code, out, err = exit_and_text(main, argv)
     assert (code, out, err) == exit_and_text(build_parser().parse_args, argv)
     assert code == 2 and err.startswith("usage: imptables")
+
+
+@settings(max_examples=500, deadline=None)
+@given(calls())
+def test_fast_path_agrees_with_argparse(call):
+    argv, _ = call
+    fast = cli._fast_parse(argv)
+    event("fast path" if fast else "argparse")
+    if fast is not None:
+        assert typed(fast) == typed(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "t", "--n", "3"],
+        ["series", "i", "--format", "bfile", "--output", "out.txt", "--n", "1"],
+        ["table", "--semantics", "2", "--n", "2", "--index", "0", "--format", "csv"],
+        ["verify", "--n", "0"],
+        ["monoid", "--tamper", "t:3:-1", "--seed", "+5", "--kmax", "2", "--order", " 7"],
+        ["colors"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_fast_path_takes_the_plain_form(argv):
+    fast = cli._fast_parse(argv)
+    assert fast is not None
+    assert typed(fast) == typed(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--n", "2", "--semantic", "2"],
+        ["series", "t", "--n=3"],
+        ["table", "--n", "2", "--n", "3"],
+        ["series", "t", "name", "s"],
+        ["series", "t", "--n", "-1"],
+        ["monoid", "--tamper", "-t:3:1"],
+        ["series", "--help"],
+        ["--help"],
+        ["table", "--n", "2", "--semantics", "4"],
+        ["series", "q"],
+        ["table", "--index", "1"],
+        ["verify", "--n", "x"],
+        ["series", "t", "--n"],
+        ["series"],
+        ["series", "t", "--", "--n", "3"],
+        ["colors", "--bogus", "1"],
+        [],
+    ],
+    ids=lambda argv: " ".join(argv) or "empty",
+)
+def test_other_forms_fall_through_to_argparse(argv):
+    assert cli._fast_parse(argv) is None

@@ -134,6 +134,12 @@ class TestSubcommandImports:
         forbidden = {"imptables.monoid", "imptables.recurrences", "dataclasses", "__future__"}
         assert not forbidden & modules
 
+    def test_table_loads_no_series(self):
+        code, out, modules = loaded_by("table", "--n", "2")
+        assert code == 0
+        assert out.startswith("(p1=>p2)  [kleene]\n")
+        assert "imptables.series" not in modules
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -210,11 +216,33 @@ FORMATS = {
 FRACTION_MODULES = {"fractions", "decimal", "_decimal", "_pydecimal", "numbers"}
 
 
+ARGPARSE_MODULES = {"argparse", "gettext", "locale"}
+
+
 class TestStartupLoadsNoSpareCode:
-    """A call compiles `cli`, `series`, the one command module it runs and
-    the library modules that module uses; it loads `fractions` (and the
+    """A call compiles `cli`, the one command module it runs and the
+    library modules that module uses; it loads `fractions` (and the
     `decimal` and `numbers` modules that `fractions` imports) only when
-    it forms a non-integral value, which no untampered call does."""
+    it forms a non-integral value, which no untampered call does, and
+    `argparse` (with `gettext` and `locale`) only for help or a usage
+    error that `cli._fast_parse` leaves to it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [(*argv, "--format", fmts[-1], "--output", os.devnull) for argv, fmts in FORMATS.items()],
+        ids=lambda argv: argv[0],
+    )
+    def test_no_fast_path_call_loads_argparse(self, argv):
+        # -S: a `site` that runs third-party .pth files may import them itself.
+        code, _, modules = loaded_by(*argv, flags=("-S",))
+        assert code == 0
+        assert not ARGPARSE_MODULES & modules
+
+    def test_help_loads_argparse(self):
+        code, out, modules = loaded_by("table", "--help", flags=("-S",))
+        assert code == 0
+        assert out.startswith("usage: imptables table")
+        assert "argparse" in modules
 
     @pytest.mark.parametrize(
         "argv",
