@@ -168,6 +168,7 @@ COMMANDS = {
 
 
 def _choices(keywords: dict) -> object:
+    """An argument's choices, or None; choices given as a function are its result."""
     choices = keywords.get("choices")
     return choices() if callable(choices) else choices
 

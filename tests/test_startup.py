@@ -214,8 +214,6 @@ FORMATS = {
     ("colors", "--n", "3"): ("plain", "csv", "json"),
 }
 FRACTION_MODULES = {"fractions", "decimal", "_decimal", "_pydecimal", "numbers"}
-
-
 ARGPARSE_MODULES = {"argparse", "gettext", "locale"}
 
 
