@@ -4,15 +4,15 @@ Usage: python3 mutants/run.py
 
 Each entry of MUTANTS replaces one exact text in one file of the package
 (or of the tests) with a broken version.  The script first runs every
-distinct test selection once on an unmutated copy of `src/`, `tests/`
-and `pyproject.toml`; each must pass, or a failure under a mutant would
-prove nothing, and the gate fails without applying any mutant.  Then it
-copies the tree into a temporary directory per mutant, applies that one
-replacement, and runs the entry's tests there with pytest.  The gate
-fails when a mutant survives (its tests pass), when its tests cannot run
-(a collection error is not a kill), and when an old text no longer
-occurs exactly once, so an entry cannot rot silently when the code it
-targets changes.
+distinct test selection once on an unmutated copy of `src/`, `tests/`,
+`pyproject.toml` and `README.md`; each must pass, or a failure under a
+mutant would prove nothing, and the gate fails without applying any
+mutant.  Then it copies the tree into a temporary directory per mutant,
+applies that one replacement, and runs the entry's tests there with
+pytest.  The gate fails when a mutant survives (its tests pass), when
+its tests cannot run (a collection error is not a kill), and when an old
+text no longer occurs exactly once, so an entry cannot rot silently when
+the code it targets changes.
 
 pytest does not collect this directory (pyproject.toml's testpaths).
 """
@@ -38,6 +38,7 @@ TABLE_COMMAND = "src/imptables/commands/table.py"
 VERIFY_COMMAND = "src/imptables/commands/verify.py"
 MONOID_COMMAND = "src/imptables/commands/monoid.py"
 COLORS_COMMAND = "src/imptables/commands/colors.py"
+SERIES_COMMAND = "src/imptables/commands/series.py"
 
 # Claim index ranges that two mutants each shift, and the tests that pin
 # both ends of a range.
@@ -53,7 +54,10 @@ ASSOCIATIVITY_RANGE = """    every_n = range(realizer.order + 1)
 IDEAL_RANGE = """    above_one = range(2, realizer.order + 1)
     elements = tuple(elements)
 """
-SQUARE_RANGE = "        yield square, g2, range(2, order + 1), {\n"
+SQUARE_RANGE = "        yield square, g, range(2, order + 1), {\n"
+POWER_RANGE = """    every_n = range(realizer.order + 1)
+    f, g, u = realizer.series("f"), realizer.series("g"), realizer.series("u")
+"""
 IDEAL_ENDS = "tests/test_monoid.py::TestIdealAndSubstitution::test_ideal_samples_checked_at_both_ends"
 SQUARE_ENDS = (
     "tests/test_monoid.py::TestPartitions::test_square_checked_against_the_total_at_both_ends"
@@ -475,34 +479,44 @@ def run_all(
     (
         "power identities from n = 1",
         MONOID,
-        """    every_n = range(realizer.order + 1)
-    f, g = realizer.series("f"), realizer.series("g")
-""",
-        """    every_n = range(1, realizer.order + 1)
-    f, g = realizer.series("f"), realizer.series("g")
-""",
+        POWER_RANGE,
+        POWER_RANGE.replace("range(realizer.order + 1)", "range(1, realizer.order + 1)"),
         ["tests/test_monoid.py::TestPowerIdentities::test_identity_broken_at_the_constant_term"],
     ),
     (
         "power identities without their top coefficient",
         MONOID,
-        """    every_n = range(realizer.order + 1)
-    f, g = realizer.series("f"), realizer.series("g")
-""",
-        """    every_n = range(realizer.order)
-    f, g = realizer.series("f"), realizer.series("g")
-""",
+        POWER_RANGE,
+        POWER_RANGE.replace("range(realizer.order + 1)", "range(realizer.order)"),
         ["tests/test_monoid.py::TestPowerIdentities::test_identity_broken_at_the_top_only"],
     ),
     (
         "f identity's right side taking the left side's top coefficient",
         MONOID,
-        """(2 * (fj * realizer.series("u")) - fj + power("f", i).shift()).coeffs,
-""",
-        """(2 * (fj * realizer.series("u")) - fj + power("f", i).shift()).coeffs[:-1]
-                + power("f", k).coeffs[-1:],
-""",
+        'f_rhs = 2 * (fj * u) - fj + power("f", i).shift()\n',
+        'f_rhs = PowerSeries((2 * (fj * u) - fj + power("f", i).shift()).coeffs[:-1]'
+        ' + power("f", k).coeffs[-1:])\n',
         ["tests/test_monoid.py::TestPowerIdentities::test_identity_broken_at_the_top_only"],
+    ),
+    (
+        "power identity sides formed before the identity before them held",
+        MONOID,
+        """    cases = (
+        (lhs.coeffs, rhs.coeffs, every_n, {"k": k, "identity": identity})
+        for k in range(2, k_max + 1)
+        for identity, lhs, rhs in identities(k)
+    )
+""",
+        """    cases = [
+        (lhs.coeffs, rhs.coeffs, every_n, {"k": k, "identity": identity})
+        for k in range(2, k_max + 1)
+        for identity, lhs, rhs in identities(k)
+    ]
+""",
+        [
+            "tests/test_monoid.py::TestPowerIdentities"
+            "::test_sides_formed_only_after_the_identity_before_holds"
+        ],
     ),
     (
         "a failing case reported as verified",
@@ -716,6 +730,52 @@ def run_all(
         ["tests/test_cli.py::TestColors::test_default_n_is_4"],
     ),
     (
+        "--tamper index or delta that is not an integer reported as int()'s error",
+        MONOID_COMMAND,
+        """        raise ValueError(f"--tamper index and delta must be integers, got {raw!r}")
+""",
+        """        raise
+""",
+        ["tests/test_cli.py::TestMonoid::test_bad_tamper_argument"],
+    ),
+    (
+        "count series constant term not checked",
+        SERIES,
+        """    if series.coeffs[0] != 0:
+        raise ConsistencyError(
+            f"count series {name!r} has constant term {series.coeffs[0]}, expected 0"
+        )
+""",
+        "",
+        ["tests/test_series.py::TestClosedForms::test_constant_term_checked"],
+    ),
+    (
+        "a float radix accepted",
+        LOGIC,
+        "if type(radix) is not int or radix not in (2, 3):",
+        "if radix not in (2, 3):",
+        ["tests/test_logic.py::TestSemantics::test_from_radix_error_shows_the_type"],
+    ),
+    (
+        "a negative budget reported as a budget overrun",
+        LOGIC,
+        """    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
+""",
+        "",
+        [
+            "tests/test_logic.py::TestBruteCounts::test_negative_budget_is_a_value_error",
+            "tests/test_logic.py::TestColorClasses::test_negative_budget_is_a_value_error",
+        ],
+    ),
+    (
+        "series bfile lines tab-separated",
+        SERIES_COMMAND,
+        'lines = [f"{n} {v}" for n, v in enumerate(values, start=1)]',
+        'lines = [f"{n}\\t{v}" for n, v in enumerate(values, start=1)]',
+        ["tests/test_readme.py"],
+    ),
+    (
         "main imports every command module",
         CLI,
         DISPATCH,
@@ -732,10 +792,12 @@ def run_all(
 
 
 def copy_tree(copy: Path) -> None:
-    """Copy the package, the tests and pyproject.toml into ``copy``."""
+    """Copy the package, the tests, pyproject.toml and README.md (which
+    `tests/test_readme.py` runs) into ``copy``."""
     for name in ("src", "tests"):
         shutil.copytree(ROOT / name, copy / name, ignore=shutil.ignore_patterns("__pycache__"))
-    shutil.copy(ROOT / "pyproject.toml", copy / "pyproject.toml")
+    for name in ("pyproject.toml", "README.md"):
+        shutil.copy(ROOT / name, copy / name)
 
 
 def run_tests(copy: Path, tests: list[str]) -> subprocess.CompletedProcess:

@@ -107,11 +107,10 @@ CLASSICAL = Semantics("classical", 2, (0, 1), brute_budget=10)
 
 
 def semantics_from_radix(radix: int) -> Semantics:
-    if radix == 2:
-        return CLASSICAL
-    if radix == 3:
-        return KLEENE
-    raise ValueError(f"radix must be 2 or 3, got {radix!r}")
+    # An int only: 2.0 == 2, but a float (or a bool) is no radix.
+    if type(radix) is not int or radix not in (2, 3):
+        raise ValueError(f"radix must be 2 or 3, got {radix!r}")
+    return CLASSICAL if radix == 2 else KLEENE
 
 
 def _check_value(v: int, sem: Semantics) -> None:
@@ -386,6 +385,8 @@ def _plane_bracketings(
 
 
 def _check_budget(n: int, sem: Semantics, budget: int | None) -> None:
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
     limit = sem.brute_budget if budget is None else budget
     if n > limit:
         raise BudgetError(

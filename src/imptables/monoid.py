@@ -9,13 +9,15 @@ generator powers, and forms each ordered product of two elements once:
 commutativity compares the products in both orders, and associativity
 reuses the sampled pair's product for its left-nested side.
 
-Every checker yields its cases to one runner, `_check`, which compares
-exact rational coefficients up to a truncation order and reports the
-first failing index with both sides as a witness.  A claim states its
-relation, its witness context and its failure detail once, the last two
-as `str.format` templates; a case carries only its two coefficient
-sequences, its indices and the fields those templates name (the
-elements it multiplies, say).  Only a failing case is formatted.
+Every claim is one lazy stream of cases fed to one call of one runner,
+`_check`, which compares exact rational coefficients up to a truncation
+order and reports the first failing index with both sides as a witness.
+A claim states its relation, its witness context and its failure detail
+once, the last two as `str.format` templates; a case carries only its
+two coefficient sequences, its indices and the fields those templates
+name (the elements it multiplies, say, or, where the cases of one claim
+differ in wording, the case's own `context` and `failed` text).  Only a
+failing case is formatted.
 A deliberate tamper hook can corrupt one coefficient of one generator so
 the pipeline's failure path can be exercised end to end.
 
@@ -309,13 +311,16 @@ def _triples(
 
 # One case of a claim: two coefficient sequences, the indices `ns` at which the
 # claim's relation must hold between them, and the fields that the claim's
-# witness context and failure detail name.  A claim states its relation and
-# both `str.format` templates once, in its `_check` call; the context's "{n}"
-# stands for the failing index and the detail's "{count}" for the cases run so
-# far.  Where cases differ in wording (each power identity, each partition),
-# a field carries the case's own text.  Only a failing case is formatted, so a
-# passing claim never turns an element into text.  Claims yield their cases
-# lazily, so work stops at the first failure.
+# witness context and failure detail name.  Every claim is one stream of cases
+# into one `_check` call, which states its relation and both `str.format`
+# templates once; the context's "{n}" stands for the failing index and the
+# detail's "{count}" for the cases run so far.  Where cases differ in wording,
+# a field carries the case's own text: each power identity's `identity`, and
+# each partition's `context` and `failed`, which its templates "{context}" and
+# "{failed}" print whole.  Only a failing case is formatted, so a passing claim
+# never turns an element into text.  Claims yield their cases lazily, so work
+# stops at the first failure: no case's sides are formed before the case
+# before it has held.
 Case = tuple[Sequence, Sequence, Iterable[int], dict[str, object]]
 
 
@@ -433,48 +438,35 @@ def verify_power_identities(realizer: Realizer, k_max: int) -> VerificationRepor
     """The three generator-power identities for 2 <= k <= k_max.
 
     Three-valued only: the identities relate u, f, t and the total g.
-    Each case names its identity, with j = k - 1 and i = k - 2.
+    Each case names its identity, with j = k - 1 and i = k - 2, and an
+    identity's sides are formed only once the identity before it held.
     """
     if realizer.logic != "kleene":
         raise ValueError("power identities are stated for the three-valued generators")
     _check_k_max(k_max)
     every_n = range(realizer.order + 1)
-    f, g = realizer.series("f"), realizer.series("g")
+    f, g, u = realizer.series("f"), realizer.series("g"), realizer.series("u")
     power = realizer.power
 
-    def cases() -> Iterator[Case]:
-        for k in range(2, k_max + 1):
-            j, i = k - 1, k - 2
-            yield (
-                (3 * power("u", k)).coeffs,
-                (power("u", j) - power("u", i).shift()).coeffs,
-                every_n,
-                dict(k=k, identity=f"3u^{k} vs u^{j} - x*u^{i}"),
-            )
-            fj = power("f", j)
-            yield (
-                power("f", k).coeffs,
-                (2 * (fj * realizer.series("u")) - fj + power("f", i).shift()).coeffs,
-                every_n,
-                dict(k=k, identity=f"f^{k} vs 2f^{j}u - f^{j} + x*f^{i}"),
-            )
-            tj = power("t", j)
-            t_rhs = (
-                (2 * (tj * power("g", 2)) - 2 * (tj * g * f)) / 3
-                + tj * power("f", 2)
-                + tj.shift()
-            )
-            yield (
-                power("t", k).coeffs,
-                t_rhs.coeffs,
-                every_n,
-                dict(k=k, identity=f"t^{k} vs (2/3)t^{j}g^2 - (2/3)t^{j}gf + t^{j}f^2 + x*t^{j}"),
-            )
+    def identities(k: int) -> Iterator[tuple[str, PowerSeries, PowerSeries]]:
+        j, i = k - 1, k - 2
+        yield f"3u^{k} vs u^{j} - x*u^{i}", 3 * power("u", k), power("u", j) - power("u", i).shift()
+        fj = power("f", j)
+        f_rhs = 2 * (fj * u) - fj + power("f", i).shift()
+        yield f"f^{k} vs 2f^{j}u - f^{j} + x*f^{i}", power("f", k), f_rhs
+        tj = power("t", j)
+        t_rhs = (2 * (tj * power("g", 2)) - 2 * (tj * g * f)) / 3 + tj * power("f", 2) + tj.shift()
+        yield f"t^{k} vs (2/3)t^{j}g^2 - (2/3)t^{j}gf + t^{j}f^2 + x*t^{j}", power("t", k), t_rhs
 
+    cases = (
+        (lhs.coeffs, rhs.coeffs, every_n, {"k": k, "identity": identity})
+        for k in range(2, k_max + 1)
+        for identity, lhs, rhs in identities(k)
+    )
     return _check(
         realizer,
         "power-identities",
-        cases(),
+        cases,
         "{identity}",
         "an identity broke at k={k}",
         f"u, f and t power identities hold exactly for 2 <= k <= {k_max}",
@@ -485,51 +477,44 @@ def verify_partitions(realizer: Realizer) -> VerificationReport:
     """The count series partition the total, and the root-split color
     classes partition the classical total.
 
-    Three-valued: t + f + u = g and g = 3u.  Classical: r + s = g2, the
-    four pairwise convolutions of r and s sum to g2^2, g2^2 matches g2
-    from n = 2 on, and the convolutions match the brute-force color
-    classification for 2 <= n <= COLOR_N_MAX.  The claims differ in
-    wording, so each case names its own text.
+    Both logics: the generators sum to the total (t + f + u = g, r + s =
+    g2).  Three-valued: g = 3u.  Classical: the four pairwise convolutions
+    of r and s sum to g2^2, g2^2 matches g2 from n = 2 on, and the
+    convolutions match the brute-force color classification for
+    2 <= n <= COLOR_N_MAX.  The cases differ in wording, so each carries
+    its own context and failure text; only the pass text depends on the
+    logic.
     """
-    order = realizer.order
+    logic, order = realizer.logic, realizer.order
     every_n = range(order + 1)
-
-    if realizer.logic == "kleene":
-        t, f, u = (realizer.series(name) for name in ("t", "f", "u"))
-        g = realizer.total().coeffs
-        cases = [
-            ((t + f + u).coeffs, g, every_n, {"side": "t + f + u"}),
-            ((3 * u).coeffs, g, every_n, {"side": "3u"}),
-        ]
-        return _check(
-            realizer,
-            "partitions",
-            cases,
-            "{side} vs g",
-            "{side} missed g",
-            "t + f + u = g and g = 3u coefficientwise",
-        )
-
-    r, s = realizer.series("r"), realizer.series("s")
-    g2 = realizer.total().coeffs
+    names, total = GENERATORS[logic], TOTALS[logic]
+    g = realizer.total().coeffs
     color_n = min(COLOR_N_MAX, order)
 
-    def classical_cases() -> Iterator[Case]:
-        yield (r + s).coeffs, g2, every_n, {"context": "r + s vs g2", "failed": "r + s missed g2"}
+    def cases() -> Iterator[Case]:
+        side = " + ".join(names)
+        yield reduce(add, map(realizer.series, names)).coeffs, g, every_n, {
+            "context": f"{side} vs {total}",
+            "failed": f"{side} missed {total}",
+        }
+        if logic == "kleene":
+            u3 = (3 * realizer.series("u")).coeffs
+            yield u3, g, every_n, {"context": "3u vs g", "failed": "3u missed g"}
+            return
         # Keyed by the truth values of the root's (left, right) subformulas,
         # as the color classes are: rr, rs, sr, ss.
-        values = SERIES_VALUES["classical"]
+        values = SERIES_VALUES[logic]
         quadrants = {
             (values[a], values[b]): realizer.series(a) * realizer.series(b)
             for a in values
             for b in values
         }
-        square = realizer.power("g2", 2).coeffs
+        square = realizer.power(total, 2).coeffs
         yield reduce(add, quadrants.values()).coeffs, square, every_n, {
             "context": "rr + rs + sr + ss vs g2^2",
             "failed": "the four convolutions missed g2^2",
         }
-        yield square, g2, range(2, order + 1), {
+        yield square, g, range(2, order + 1), {
             "context": "g2^2 vs g2",
             "failed": "g2^2 diverged from g2 at n >= 2",
         }
@@ -541,15 +526,13 @@ def verify_partitions(realizer: Realizer) -> VerificationReport:
                     "failed": "brute-force color classes disagreed with the convolutions",
                 }
 
-    return _check(
-        realizer,
-        "partitions",
-        classical_cases(),
-        "{context}",
-        "{failed}",
-        "r + s = g2, the four convolutions sum to g2^2, g2^2 matches g2 "
-        f"for n >= 2, and color classes agree for 2 <= n <= {color_n}",
+    passed = (
+        "t + f + u = g and g = 3u coefficientwise"
+        if logic == "kleene"
+        else "r + s = g2, the four convolutions sum to g2^2, g2^2 matches g2 "
+        f"for n >= 2, and color classes agree for 2 <= n <= {color_n}"
     )
+    return _check(realizer, "partitions", cases(), "{context}", "{failed}", passed)
 
 
 def verify_ideal_samples(

@@ -357,6 +357,9 @@ class TestMonoid:
         code, _, err = run(capsys, "monoid", "--tamper", "t:3")
         assert code == 2
         assert "NAME:INDEX:DELTA" in err
+        code, out, err = run(capsys, "monoid", "--tamper", "t:x:1")
+        assert (code, out) == (2, "")
+        assert err == "error: --tamper index and delta must be integers, got 't:x:1'\n"
 
     @pytest.mark.parametrize("target", ["i", "q"])
     def test_tamper_target_not_a_count_series(self, capsys, target):

@@ -87,7 +87,7 @@ class TestSemantics:
         with pytest.raises(ValueError):
             semantics_from_radix(4)
 
-    @pytest.mark.parametrize("radix, shown", [(4, "4"), ("3", "'3'")])
+    @pytest.mark.parametrize("radix, shown", [(4, "4"), ("3", "'3'"), (3.0, "3.0"), (2.0, "2.0")])
     def test_from_radix_error_shows_the_type(self, radix, shown):
         with pytest.raises(ValueError, match=f"^radix must be 2 or 3, got {shown}$"):
             semantics_from_radix(radix)
@@ -244,6 +244,10 @@ class TestBruteCounts:
             brute_counts(11, CLASSICAL)
         with pytest.raises(BudgetError):
             brute_counts(3, KLEENE, budget=2)
+
+    def test_negative_budget_is_a_value_error(self):
+        with pytest.raises(ValueError, match=r"^budget must be at least 0, got -1$"):
+            brute_counts(3, budget=-1)
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
@@ -474,6 +478,10 @@ class TestColorClasses:
     def test_budget_enforced(self):
         with pytest.raises(BudgetError):
             color_class_counts(12, CLASSICAL)
+
+    def test_negative_budget_is_a_value_error(self):
+        with pytest.raises(ValueError, match=r"^budget must be at least 0, got -1$"):
+            color_class_counts(3, budget=-1)
 
 
 class TestValuationOrder:

@@ -135,6 +135,10 @@ class TestMonoidElement:
                 "classical", r=1
             )
 
+    def test_times_a_non_element_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            MonoidElement.identity("kleene") * 3
+
     @pytest.mark.parametrize(
         "exponents",
         [[1, 0, 0], (1.5, 0, 0), (1, "0", 0), (Fraction(1), 0, 0), 3],
@@ -202,6 +206,10 @@ class TestRealizer:
     def test_order_floor(self):
         with pytest.raises(ValueError):
             Realizer("kleene", 1)
+
+    def test_negative_power_rejected(self, kleene_realizer):
+        with pytest.raises(ValueError, match=r"^powers must be nonnegative, got -1$"):
+            kleene_realizer.power("t", -1)
 
     def test_logic_rule_shared_with_elements(self):
         message = "^logic must be 'kleene' or 'classical', got 'boolean'$"
@@ -463,6 +471,28 @@ class TestPowerIdentities:
         report = verify_power_identities(bent, 3)
         assert not report.verified
         assert report.witness == Witness(8, 64613, 64612, "f^2 vs 2f^1u - f^1 + x*f^0")
+
+    def test_sides_formed_only_after_the_identity_before_holds(self, monkeypatch):
+        # u bent at x^3 leaves 3u^2 there (u has no constant term) but moves
+        # u - x, so the u identity fails at k = 2.  By then the only series
+        # product formed is u^2: none for k = 2's f or t identity.
+        bend_closed_forms(monkeypatch, 3, u=1)
+        realizer = Realizer("kleene", 8)
+        u, products = realizer.series("u"), []
+        plain = PowerSeries.__mul__
+
+        def counted(a, b):
+            if isinstance(b, PowerSeries):
+                products.append((a, b))
+            return plain(a, b)
+
+        monkeypatch.setattr(PowerSeries, "__mul__", counted)
+        report = verify_power_identities(realizer, 3)
+        assert report.summary_line() == (
+            "FAIL power-identities[kleene] (order 8): an identity broke at k=2;"
+            " first failure at n=3: 18 vs 19 [3u^2 vs u^1 - x*u^0]"
+        )
+        assert products == [(u, u)]
 
 
 class TestPartitions:

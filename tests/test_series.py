@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import imptables.series as series_module
+from imptables.cli import main
 from imptables.logic import CLASSICAL, KLEENE, catalan
 from imptables.series import (
     CLASSICAL_SERIES,
@@ -113,6 +114,14 @@ class TestConstruction:
         assert s.truncate(1).coeffs == (1, 2)
         with pytest.raises(IndexError):
             s.truncate(9)
+
+    def test_repr_shows_eight_coefficients_then_a_tail(self):
+        assert repr(closed_form("t", 7)) == (
+            "PowerSeries([0, 1, 5, 30, 229, 1938, 17530, 165852], order=7)"
+        )
+        assert repr(closed_form("t", 8)) == (
+            "PowerSeries([0, 1, 5, 30, 229, 1938, 17530, 165852, ...], order=8)"
+        )
 
 
 class TestArithmetic:
@@ -333,6 +342,18 @@ class TestClosedForms:
         # brute force, the recurrence, and this expansion all give 61
         # (total 80 minus s4 = 19)
         assert closed_form("r", 4).coefficient(4) == 61
+
+    @pytest.mark.parametrize("constant, term", [(10, 1), (16, 2)])
+    def test_constant_term_checked(self, monkeypatch, capsys, constant, term):
+        # With t's constant 4 raised, t = (c - s - w)/6 starts at
+        # (c - 1 - 3)/6 and every other coefficient stays a count (t_1 = 1).
+        row = series_module._COUNT_SERIES["t"]
+        monkeypatch.setitem(series_module._COUNT_SERIES, "t", (*row[:3], (constant, -1, -1, 6)))
+        message = f"count series 't' has constant term {term}, expected 0"
+        with pytest.raises(ConsistencyError, match=f"^{message}$"):
+            closed_form("t", 3)
+        assert main(["series", "t"]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_g_is_three_u(self):
         order = 50
