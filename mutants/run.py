@@ -65,6 +65,21 @@ SQUARE_ENDS = (
 COLOR_ENDS = "tests/test_monoid.py::TestPartitions::test_color_classes_checked_at_both_ends"
 PARSER_TESTS = ["tests/test_parser.py"]
 TAMPER_ENDS = "tests/test_cli.py::TestMonoid::test_tamper_at_either_end_of_the_order"
+COLORS_BUDGET = (
+    "tests/test_startup.py::TestSubcommandImports::test_colors_loads_series_only_within_its_budget"
+)
+# The last two `except` clauses of `cli.main`.
+BUDGET_CLAUSE = """    except imptables.BudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+"""
+CONSISTENCY_CLAUSE = """    except imptables.ConsistencyError as exc:
+        # A closed form that fails its own count check is a counterexample.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+"""
+# The last line of `cli.entry`.
+ENTRY_FREEZE = "    gc.freeze()\n    sys.exit(main())\n"
 # The line of `cli.main` that imports the command module it runs.
 DISPATCH = """\
             command = importlib.import_module(f".commands.{args.command}", __package__)
@@ -77,6 +92,7 @@ MUTANTS = [
         RECURRENCES,
         """def counts_by_recurrence(n_max: int, sem: Semantics) -> SequenceTable:
     \"\"\"Entry counts for all values and all n up to n_max, by convolution.\"\"\"
+    _check_semantics(sem)
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     kernel = _kernel(sem)
@@ -86,6 +102,7 @@ MUTANTS = [
 
 def counts_by_recurrence(n_max: int, sem: Semantics) -> SequenceTable:
     \"\"\"Entry counts for all values and all n up to n_max, by convolution.\"\"\"
+    _check_semantics(sem)
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     kernel = _KERNELS[sem.radix]
@@ -787,6 +804,67 @@ def run_all(
             "tests/test_startup.py::TestStartupLoadsNoSpareCode"
             "::test_each_call_loads_only_its_own_command_module"
         ],
+    ),
+    (
+        "entry without gc.freeze()",
+        CLI,
+        ENTRY_FREEZE,
+        "    sys.exit(main())\n",
+        ["tests/test_startup.py::TestGarbageCollection::test_entry_freezes_the_start_up_heap"],
+    ),
+    (
+        "gc.freeze() moved into main",
+        CLI,
+        ENTRY_FREEZE,
+        """    sys.exit(main())
+
+
+_main = main
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    gc.freeze()
+    return _main(argv)
+""",
+        ["tests/test_startup.py::TestGarbageCollection::test_main_leaves_the_collector_alone"],
+    ),
+    (
+        "colors imports series at module level",
+        COLORS_COMMAND,
+        "from ..cli import Result, _render, _setting\n",
+        "from ..cli import Result, _render, _setting\nfrom ..series import closed_form\n",
+        [COLORS_BUDGET],
+    ),
+    (
+        "consistency clause before the budget clause",
+        CLI,
+        BUDGET_CLAUSE + CONSISTENCY_CLAUSE,
+        CONSISTENCY_CLAUSE + BUDGET_CLAUSE,
+        [COLORS_BUDGET],
+    ),
+    (
+        "a semantics name accepted for a Semantics",
+        LOGIC,
+        "    if not isinstance(sem, Semantics):\n",
+        "    if not isinstance(sem, (Semantics, str)):\n",
+        [
+            "tests/test_logic.py::TestSemantics::test_sem_must_be_a_semantics",
+            "tests/test_recurrences.py::TestInterface::test_sem_must_be_a_semantics",
+        ],
+    ),
+    (
+        "a bool order accepted",
+        SERIES,
+        "    if type(order) is not int:\n",
+        "    if not isinstance(order, int):\n",
+        ["tests/test_series.py::TestClosedForms::test_order_must_be_an_int"],
+    ),
+    (
+        "a bool power accepted",
+        MONOID,
+        "    if type(k) is not int:\n",
+        "    if not isinstance(k, int):\n",
+        ["tests/test_monoid.py::TestRealizer::test_power_must_be_an_int"],
     ),
 ]
 

@@ -45,10 +45,11 @@ count series counts is `series.SERIES_VALUES`.
 Each call loads and compiles only the code its subcommand runs.  Every
 call loads this module, and `main` imports the one command module it
 dispatches to: `series` loads `series`, `table` loads `logic`, `colors`
-loads `logic` and `series`, `verify` loads `logic`, `recurrences` and
-`series`, and `monoid` loads `monoid` (which imports `logic` and
-`series`).  No call loads `fractions` (nor the `decimal` and `numbers`
-modules it imports) unless it forms a non-integral value.
+loads `logic` and, once brute force is within its budget, `series`,
+`verify` loads `logic`, `recurrences` and `series`, and `monoid` loads
+`monoid` (which imports `logic` and `series`).  No call loads
+`fractions` (nor the `decimal` and `numbers` modules it imports) unless
+it forms a non-integral value.
 
 Each subcommand's arguments are stated once, in `COMMANDS`.  `main`
 first reads argv with `_fast_parse`, which takes only the plain form
@@ -57,9 +58,18 @@ Any other argv goes unchanged to argparse, built from the same table,
 so no call loads `argparse` (nor the `gettext` and `locale` modules it
 imports) unless it asks for help or makes a usage error, and help and
 usage-error text are argparse's own.
+
+`entry`, which the ``imptables`` script and ``python -m imptables`` run,
+calls `gc.freeze()` before `main`: the start-up heap (the interpreter's
+modules, `site`'s imports and this module) moves to the permanent
+generation, so neither a collection during the call nor the full one at
+interpreter exit scans it again.  Objects the call creates are collected
+as usual.  `main` leaves the collector alone, so in-process callers keep
+their own GC state.
 """
 
 import contextlib
+import gc
 import importlib
 import os
 import sys
@@ -256,14 +266,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     # These two are named through the package's lazy export, and last: each
     # expression is evaluated (and its module loaded) only for an exception
-    # that no clause above caught.
+    # that no clause above caught.  The budget clause comes first: only
+    # `logic` raises BudgetError, so a budget error loads no `series`.
+    except imptables.BudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except imptables.ConsistencyError as exc:
         # A closed form that fails its own count check is a counterexample.
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except imptables.BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 def _discard_stdout() -> None:
@@ -279,4 +290,11 @@ def _discard_stdout() -> None:
 
 
 def entry() -> None:
+    """The ``imptables`` script and ``python -m imptables``: freeze the
+    start-up heap, run `main` on ``sys.argv`` and exit with its code."""
+    # The start-up heap holds no garbage cycles, so no collection needs to
+    # scan it, the full one at interpreter exit included.  Here and not in
+    # `main`, whose in-process callers keep their own GC state; not
+    # `gc.disable()`, since json output leaves reference cycles to collect.
+    gc.freeze()
     sys.exit(main())

@@ -2,7 +2,6 @@
 classical mode."""
 
 from ..cli import Result, _render, _setting
-from ..series import SERIES_VALUES, closed_form
 
 
 def run(args) -> Result:
@@ -12,6 +11,9 @@ def run(args) -> Result:
     n = _setting("--n", args.n, default=4, floor=2, why=" (a root split is needed)")
     budget = _setting("--budget", args.budget, "IMPTABLES_BUDGET", sem.brute_budget, 0)
     classes = color_class_counts(n, sem, budget=budget)
+    # Imported only now: a call over its budget stops above without compiling it.
+    from ..series import SERIES_VALUES, closed_form
+
     by_value = {value: closed_form(name, n) for name, value in SERIES_VALUES[sem.name].items()}
     products = {
         (a, b): (by_value[a] * by_value[b]).coefficient(n)

@@ -113,6 +113,13 @@ def semantics_from_radix(radix: int) -> Semantics:
     return CLASSICAL if radix == 2 else KLEENE
 
 
+def _check_semantics(sem: object) -> None:
+    """Reject a ``sem`` that is not a `Semantics` (a name such as "kleene"
+    is not one): the one check of the library entry points that take it."""
+    if not isinstance(sem, Semantics):
+        raise TypeError(f"sem must be a Semantics (KLEENE or CLASSICAL), got {sem!r}")
+
+
 def _check_value(v: int, sem: Semantics) -> None:
     if v not in sem.values:
         raise ValueError(f"truth value {v!r} is not legal in {sem.name} semantics")
@@ -401,6 +408,7 @@ def brute_counts(n: int, sem: Semantics = KLEENE, budget: int | None = None) -> 
     This is the ground-truth path: it actually evaluates all
     catalan(n) * radix**n table entries.
     """
+    _check_semantics(sem)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     _check_budget(n, sem, budget)
@@ -416,6 +424,7 @@ def tree_counts(tree: Bracketing, sem: Semantics = KLEENE) -> tuple[int, int, in
     valuations: leaf tallies are all-ones, and an implication node combines
     its children's tallies through the outcome table.
     """
+    _check_semantics(sem)
     counts = _dp_counts(tree, sem)
     return counts[1], counts[0], counts[2]
 
@@ -453,6 +462,7 @@ def color_class_counts(
     of ``left[a] & right[b]`` over the bit-planes of its two root
     subtrees, which hold every valuation of the whole chain.
     """
+    _check_semantics(sem)
     if n < 2:
         raise ValueError(f"color classes need a root split, so n >= 2 (got {n})")
     _check_budget(n, sem, budget)

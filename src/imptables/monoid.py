@@ -41,7 +41,9 @@ from functools import reduce
 from operator import add, eq, mul
 
 from .logic import CLASSICAL, _Record, color_class_counts
-from .series import CLASSICAL_SERIES, KLEENE_SERIES, SERIES_VALUES, PowerSeries, closed_form
+from .series import (
+    CLASSICAL_SERIES, KLEENE_SERIES, SERIES_VALUES, PowerSeries, _check_order, closed_form
+)
 
 # Every series a realizer expands, by logic: the generators (the series
 # that count one truth value) and the total (the one that counts none).
@@ -211,6 +213,7 @@ class Realizer:
 
     def __init__(self, logic: str, order: int, tamper: Tamper | None = None):
         _generators(logic)
+        _check_order(order)
         if order < 2:
             raise ValueError(f"order must be at least 2 to check anything, got {order}")
         self.logic = logic
@@ -229,16 +232,29 @@ class Realizer:
         self._realized: dict[tuple[int, ...], PowerSeries] = {}
         self._products: dict[tuple[tuple[int, ...], tuple[int, ...]], PowerSeries] = {}
 
+    def _memo(self, name: str) -> list[PowerSeries]:
+        """The powers of ``name`` formed so far, from the 0th."""
+        try:
+            return self._powers[name]
+        except KeyError:
+            raise ValueError(
+                f"unknown series {name!r}: not a {self.logic} series "
+                f"(have {sorted(self._powers)})"
+            ) from None
+
     def series(self, name: str) -> PowerSeries:
-        return self._powers[name][1]
+        return self._memo(name)[1]
 
     def total(self) -> PowerSeries:
         return self.series(TOTALS[self.logic])
 
     def power(self, name: str, k: int) -> PowerSeries:
+        # A bool is no power: True would index as 1.
+        if type(k) is not int:
+            raise TypeError(f"k must be an int, got {k!r}")
         if k < 0:
             raise ValueError(f"powers must be nonnegative, got {k}")
-        memo = self._powers[name]
+        memo = self._memo(name)
         while len(memo) <= k:
             memo.append(memo[-1] * memo[1])
         return memo[k]

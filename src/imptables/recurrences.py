@@ -24,7 +24,7 @@ from half its products, against 9 and 4 for one per (a, b) pair.
 
 from operator import mul
 
-from .logic import CLASSICAL, KLEENE, Semantics, _Record, implies
+from .logic import CLASSICAL, KLEENE, Semantics, _check_semantics, _Record, implies
 
 
 class SequenceTable(_Record):
@@ -91,6 +91,7 @@ def _convolve(left: list[int], right: list[int]) -> int:
 
 def counts_by_recurrence(n_max: int, sem: Semantics) -> SequenceTable:
     """Entry counts for all values and all n up to n_max, by convolution."""
+    _check_semantics(sem)
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     kernel = _kernel(sem)

@@ -280,10 +280,20 @@ SERIES_VALUES = {
 def _series_key(name: str) -> str:
     """The lower-cased ``name``, checked against SERIES_NAMES: the one check
     of a series name, for `closed_form` and `series_description` alike."""
+    if not isinstance(name, str):
+        raise TypeError(f"name must be a str, got {name!r}")
     key = name.lower()
     if key not in SERIES_NAMES:
         raise ValueError(f"unknown series {name!r}; choose from {', '.join(SERIES_NAMES)}")
     return key
+
+
+def _check_order(order: int) -> None:
+    """Reject an ``order`` that is not an int: a float, or a bool, which would
+    pass for 0 or 1.  The one type check of a truncation order, for
+    `closed_form` and `monoid.Realizer` alike."""
+    if type(order) is not int:
+        raise TypeError(f"order must be an int, got {order!r}")
 
 
 @functools.lru_cache(maxsize=8)
@@ -304,6 +314,7 @@ def closed_form(name: str, order: int) -> PowerSeries:
     term, and no negative entries; a violation raises ConsistencyError.
     """
     key = _series_key(name)
+    _check_order(order)
     if order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
     if key == "i":

@@ -461,7 +461,7 @@ class TestColors:
         code, out, _ = run(capsys, "colors", "--n", "4")
         assert code == 0
         assert "MISMATCH" not in out
-        monkeypatch.setattr("imptables.commands.colors.closed_form", bent)
+        monkeypatch.setattr("imptables.series.closed_form", bent)
         code, out, _ = run(capsys, "colors", "--n", "4")
         assert code == 1
         assert out.endswith("MISMATCH with convolutions\n")

@@ -99,6 +99,20 @@ class TestSemantics:
     def test_truth_value_constants(self):
         assert (logic.FALSE, logic.TRUE, logic.UNKNOWN) == (0, 1, 2)
 
+    @pytest.mark.parametrize(
+        "call, shown",
+        [
+            (lambda: brute_counts(3, "kleene"), "'kleene'"),
+            (lambda: color_class_counts(3, "classical"), "'classical'"),
+            (lambda: tree_counts(Leaf(1), "kleene"), "'kleene'"),
+        ],
+        ids=["brute_counts", "color_class_counts", "tree_counts"],
+    )
+    def test_sem_must_be_a_semantics(self, call, shown):
+        message = rf"^sem must be a Semantics \(KLEENE or CLASSICAL\), got {shown}$"
+        with pytest.raises(TypeError, match=message):
+            call()
+
 
 class TestBracketings:
     def test_counts_match_catalan(self):

@@ -211,6 +211,25 @@ class TestRealizer:
         with pytest.raises(ValueError, match=r"^powers must be nonnegative, got -1$"):
             kleene_realizer.power("t", -1)
 
+    def test_order_must_be_an_int(self):
+        with pytest.raises(TypeError, match="^order must be an int, got 2.5$"):
+            Realizer("kleene", 2.5)
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [(lambda r: r.series("x"), "x"), (lambda r: r.power("r", 2), "r")],
+        ids=["series", "power"],
+    )
+    def test_unknown_series_is_a_value_error(self, kleene_realizer, call, name):
+        message = rf"^unknown series '{name}': not a kleene series \(have \['f', 'g', 't', 'u'\]\)$"
+        with pytest.raises(ValueError, match=message):
+            call(kleene_realizer)
+
+    @pytest.mark.parametrize("k", [2.0, True], ids=["float", "bool"])
+    def test_power_must_be_an_int(self, kleene_realizer, k):
+        with pytest.raises(TypeError, match=f"^k must be an int, got {k}$"):
+            kleene_realizer.power("t", k)
+
     def test_logic_rule_shared_with_elements(self):
         message = "^logic must be 'kleene' or 'classical', got 'boolean'$"
         for build in (lambda: Realizer("boolean", 8), lambda: MonoidElement("boolean", (1,))):

@@ -218,6 +218,11 @@ class TestInterface:
         with pytest.raises(ValueError):
             counts_by_recurrence(0, KLEENE)
 
+    def test_sem_must_be_a_semantics(self):
+        message = r"^sem must be a Semantics \(KLEENE or CLASSICAL\), got 'kleene'$"
+        with pytest.raises(TypeError, match=message):
+            counts_by_recurrence(5, "kleene")
+
 
 def patched_table(outcomes):
     """`_IMPLIES_TABLE` with the given outcomes for the listed (a, b) pairs."""

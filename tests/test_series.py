@@ -423,6 +423,15 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             closed_form("t", 0)
 
+    @pytest.mark.parametrize("order", [2.5, True], ids=["float", "bool"])
+    def test_order_must_be_an_int(self, order):
+        with pytest.raises(TypeError, match=f"^order must be an int, got {order}$"):
+            closed_form("t", order)
+
+    def test_description_of_a_non_name_is_a_type_error(self):
+        with pytest.raises(TypeError, match="^name must be a str, got 3$"):
+            series_description(3)
+
     def test_description_checks_the_name_as_closed_form_does(self):
         with pytest.raises(ValueError) as by_description:
             series_description("q")

@@ -1,7 +1,9 @@
-"""Start-up cost: the package loads its public names on first use, and
-each subcommand imports only the modules it needs.
+"""Start-up cost: the package loads its public names on first use, each
+subcommand imports only the modules it needs, and the command line
+freezes the start-up heap so that no collection rescans it.
 """
 
+import gc
 import os
 import subprocess
 import sys
@@ -14,6 +16,7 @@ import imptables.logic as logic
 import imptables.monoid as monoid
 import imptables.recurrences as recurrences
 import imptables.series as series
+from imptables.cli import main
 
 SRC = str(Path(imptables.__file__).resolve().parent.parent)
 
@@ -133,6 +136,16 @@ class TestSubcommandImports:
         assert out.startswith(stdout)
         forbidden = {"imptables.monoid", "imptables.recurrences", "dataclasses", "__future__"}
         assert not forbidden & modules
+
+    @pytest.mark.parametrize(
+        "argv, code, loads_series",
+        [(("colors", "--n", "10", "--semantics", "3"), 3, False), (("colors", "--n", "2"), 0, True)],
+        ids=["over-budget", "within-budget"],
+    )
+    def test_colors_loads_series_only_within_its_budget(self, argv, code, loads_series):
+        exit_code, _, modules = loaded_by(*argv)
+        assert exit_code == code
+        assert ("imptables.series" in modules) == loads_series
 
     def test_table_loads_no_series(self):
         code, out, modules = loaded_by("table", "--n", "2")
@@ -292,3 +305,29 @@ def test_first_non_integral_value_in_a_fresh_process(case):
     proc = fresh_python("-S", "-c", NON_INTEGRAL_PROBE.format(expression=expression))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"{values}\n{types}\n"
+
+
+# Run as ``python -m imptables ARGV...`` does, with an `atexit` hook that
+# writes how many objects the collector holds frozen when the process exits.
+FREEZE_PROBE = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: sys.stderr.write(f"{gc.get_freeze_count()}\\n"))
+runpy.run_module("imptables", run_name="__main__", alter_sys=True)
+"""
+
+
+class TestGarbageCollection:
+    """`cli.entry` freezes the start-up heap, so the full collection at
+    interpreter exit does not rescan it; `cli.main` leaves the collector
+    as it found it."""
+
+    def test_entry_freezes_the_start_up_heap(self):
+        proc = fresh_python("-c", FREEZE_PROBE, "series", "t", "--n", "3")
+        assert (proc.returncode, proc.stdout) == (0, "1 5 30\n")
+        assert int(proc.stderr) > 0
+
+    def test_main_leaves_the_collector_alone(self, capsys):
+        state = (gc.get_freeze_count(), gc.isenabled(), gc.get_threshold())
+        assert main(["series", "t", "--n", "3"]) == 0
+        assert capsys.readouterr().out == "1 5 30\n"
+        assert (gc.get_freeze_count(), gc.isenabled(), gc.get_threshold()) == state
