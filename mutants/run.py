@@ -78,6 +78,14 @@ CONSISTENCY_CLAUSE = """    except imptables.ConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 """
+# The exact halving of twice each count in `counts_by_recurrence`.
+HALVING = """\
+            counts[v], odd = divmod(sum(w * squares[key] for key, w in weights.items()), 2)
+            if odd:
+                raise ArithmeticError(f"twice the count of value {v} at n = {n} is odd")
+"""
+# The acceptance test that the recurrence's totals are radix**n times Catalan.
+TOTALS_ACCEPTANCE = "tests/test_acceptance.py::test_acceptance_2_structural_totals"
 # The last line of `cli.entry`.
 ENTRY_FREEZE = "    gc.freeze()\n    sys.exit(main())\n"
 # The line of `cli.main` that imports the command module it runs.
@@ -110,18 +118,39 @@ def counts_by_recurrence(n_max: int, sem: Semantics) -> SequenceTable:
         ["tests/test_recurrences.py"],
     ),
     (
-        "grouping counting each unordered pair once whatever its orientations",
+        "kernel counting each unordered pair once whatever its orientations",
         RECURRENCES,
-        "orientations[pair] = orientations.get(pair, 0) + 1",
-        "orientations[pair] = 1",
+        "weights[pair] = weights.get(pair, 0) - 1",
+        "weights[pair] = -1",
         ["tests/test_recurrences.py::TestEveryConnective"],
     ),
     (
         "square formed without the doubling",
         RECURRENCES,
-        "acc = 2 * sum(map(mul, left[:half], left[: -half - 1 : -1]))",
-        "acc = sum(map(mul, left[:half], left[: -half - 1 : -1]))",
+        "acc = 2 * sum(map(mul, col[:half], col[: -half - 1 : -1]))",
+        "acc = sum(map(mul, col[:half], col[: -half - 1 : -1]))",
         ["tests/test_recurrences.py"],
+    ),
+    (
+        "a D_ab dropped from one value's weights",
+        RECURRENCES,
+        "            if a != b:\n",
+        "            if a != b and (a, b) != (0, 1):\n",
+        [TOTALS_ACCEPTANCE],
+    ),
+    (
+        "one weight's sign flipped",
+        RECURRENCES,
+        "    return kernel\n",
+        "    kernel[0][0, 1] *= -1\n    return kernel\n",
+        [TOTALS_ACCEPTANCE],
+    ),
+    (
+        "halving floored without the remainder check",
+        RECURRENCES,
+        HALVING,
+        "            counts[v] = sum(w * squares[key] for key, w in weights.items()) // 2\n",
+        ["tests/test_recurrences.py::TestKernel::test_an_odd_numerator_raises"],
     ),
     (
         "import from series into logic",

@@ -127,6 +127,7 @@ def _check_value(v: int, sem: Semantics) -> None:
 
 def implies(a: int, b: int, sem: Semantics = KLEENE) -> int:
     """Value of ``a => b`` under the given semantics."""
+    _check_semantics(sem)
     _check_value(a, sem)
     _check_value(b, sem)
     return _IMPLIES_TABLE[a][b]
@@ -254,6 +255,7 @@ def _unrank(start: int, size: int, index: int) -> Bracketing:
 
 def evaluate(tree: Bracketing, valuation: Sequence[int], sem: Semantics = KLEENE) -> int:
     """Evaluate ``tree`` under ``valuation`` (position i -> value of p_{i+1})."""
+    _check_semantics(sem)
     if leaf_count(tree) != len(valuation):
         raise ValueError(
             f"valuation has {len(valuation)} entries but the formula has "
@@ -475,4 +477,5 @@ def color_class_counts(
 
 def iter_valuations(n: int, sem: Semantics = KLEENE) -> Iterator[tuple[int, ...]]:
     """Valuations in table-row order: p1 most significant, digits 0,1,2."""
+    _check_semantics(sem)
     return itertools.product(sem.values, repeat=n)

@@ -105,8 +105,18 @@ class TestSemantics:
             (lambda: brute_counts(3, "kleene"), "'kleene'"),
             (lambda: color_class_counts(3, "classical"), "'classical'"),
             (lambda: tree_counts(Leaf(1), "kleene"), "'kleene'"),
+            (lambda: implies(1, 2, "kleene"), "'kleene'"),
+            (lambda: evaluate(Leaf(1), (1,), "kleene"), "'kleene'"),
+            (lambda: iter_valuations(2, "classical"), "'classical'"),
         ],
-        ids=["brute_counts", "color_class_counts", "tree_counts"],
+        ids=[
+            "brute_counts",
+            "color_class_counts",
+            "tree_counts",
+            "implies",
+            "evaluate",
+            "iter_valuations",
+        ],
     )
     def test_sem_must_be_a_semantics(self, call, shown):
         message = rf"^sem must be a Semantics \(KLEENE or CLASSICAL\), got {shown}$"

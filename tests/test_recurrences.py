@@ -130,28 +130,60 @@ class TestClassical:
 
 
 class TestKernel:
-    """The convolutions per step: one per group of unordered pairs."""
+    """Twice each count as a weighted sum of squares: the key (a,) is
+    Q_a = x_a*x_a and (a, b) is D_ab = (x_a - x_b)*(x_a - x_b)."""
 
-    def test_kleene_has_four_groups(self):
-        kernel = recurrences._kernel(KLEENE)
-        # t = c0*(c0+c1+c2) + c1*(c1+c2), f = c0*c1, u = c2*(c0+c1+c2)
-        assert kernel == {
-            0: ((0, (1,)),),
-            1: ((0, (0, 1, 2)), (1, (1, 2))),
-            2: ((2, (0, 1, 2)),),
+    def test_kleene_weights(self):
+        # f = Q0 + Q1 - D01, t = 4Q0 + 4Q1 + 2Q2 - D01 - D02 - D12,
+        # u = Q0 + Q1 + 4Q2 - D02 - D12, all halved
+        assert recurrences._kernel(KLEENE) == {
+            0: {(0,): 1, (1,): 1, (0, 1): -1},
+            1: {(0,): 4, (1,): 4, (2,): 2, (0, 1): -1, (0, 2): -1, (1, 2): -1},
+            2: {(0,): 1, (1,): 1, (2,): 4, (0, 2): -1, (1, 2): -1},
         }
-        assert sum(map(len, kernel.values())) == 4
 
-    def test_classical_has_three_groups_one_a_square(self):
-        groups = [g for gs in recurrences._kernel(CLASSICAL).values() for g in gs]
-        assert len(groups) == 3
-        assert [(left, rights) for left, rights in groups if rights == (left,)] == [(1, (1,))]
+    def test_classical_weights(self):
+        # s = Q0 + Q1 - D01, r = 3Q0 + 3Q1 - D01, both halved
+        assert recurrences._kernel(CLASSICAL) == {
+            0: {(0,): 1, (1,): 1, (0, 1): -1},
+            1: {(0,): 3, (1,): 3, (0, 1): -1},
+        }
 
     def test_a_pair_keeps_both_orientations(self, monkeypatch):
-        # Disjunction: 0 v 1 and 1 v 0 are both 1, so c0 counts twice on the right.
+        # Disjunction: 0 v 1 and 1 v 0 are both 1, so D01 weighs -2 there.
         table = patched_table({(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1})
         monkeypatch.setattr(logic, "_IMPLIES_TABLE", table)
-        assert recurrences._kernel(CLASSICAL) == {0: ((0, (0,)),), 1: ((1, (0, 0, 1)),)}
+        assert recurrences._kernel(CLASSICAL) == {
+            0: {(0,): 2},
+            1: {(0,): 2, (1,): 4, (0, 1): -2},
+        }
+
+    @pytest.mark.parametrize("sem", [KLEENE, CLASSICAL], ids=["kleene", "classical"])
+    def test_a_fault_in_any_one_square_moves_the_totals(self, monkeypatch, sem):
+        def totals_hold():
+            totals = counts_by_recurrence(8, sem).totals
+            return all(totals[n - 1] == sem.radix**n * catalan(n) for n in range(1, 9))
+
+        assert totals_hold()
+        per_step = len({key for weights in recurrences._kernel(sem).values() for key in weights})
+        square = recurrences._square
+        for target in range(per_step):
+            # The squares of a step are formed in one fixed order; raise
+            # the target's by 2, so every halving stays exact.
+            calls = itertools.count()
+            monkeypatch.setattr(
+                recurrences,
+                "_square",
+                lambda col: square(col) + 2 * (next(calls) % per_step == target),
+            )
+            assert not totals_hold(), target
+
+    def test_an_odd_numerator_raises(self, monkeypatch):
+        # Every square one too high: twice s gains 1 + 1 - 1 at n = 2.
+        square = recurrences._square
+        monkeypatch.setattr(recurrences, "_square", lambda col: square(col) + 1)
+        with pytest.raises(ArithmeticError, match=r"^twice the count of value 0 at n = 2 is odd$"):
+            counts_by_recurrence(2, CLASSICAL)
 
 
 class TestLargeN:
@@ -166,6 +198,15 @@ class TestLargeN:
         for name, value in names.items():
             assert table.column(value) == closed_form(name, 120).coeffs[1:], name
         assert table.totals == closed_form(total, 120).coeffs[1:]
+
+    @pytest.mark.parametrize(
+        "sem, names", [(KLEENE, {"t": 1, "f": 0, "u": 2}), (CLASSICAL, {"r": 1, "s": 0})],
+        ids=["kleene", "classical"],
+    )
+    def test_columns_match_the_closed_forms_to_300(self, sem, names):
+        table = counts_by_recurrence(300, sem)
+        for name, value in names.items():
+            assert table.column(value) == closed_form(name, 300).coeffs[1:], name
 
 
 class TestBruteForceBeyondTheDefaultBudgets:
