@@ -663,6 +663,13 @@ def run_all(
         ["tests/test_golden.py"],
     ),
     (
+        "_render joins the text lines again",
+        CLI,
+        '    return (line + "\\n" for line in lines)\n',
+        '    return ["\\n".join(lines) + "\\n"]\n',
+        ["tests/test_cli.py::TestStreaming::test_verify_writes_one_chunk_per_line"],
+    ),
+    (
         "enumerate_bracketings called in the table command",
         TABLE_COMMAND,
         "return 0, _table_lines(bracketing_at(n, index), n, sem, args.format)",
@@ -817,8 +824,8 @@ def run_all(
     (
         "series bfile lines tab-separated",
         SERIES_COMMAND,
-        'lines = [f"{n} {v}" for n, v in enumerate(values, start=1)]',
-        'lines = [f"{n}\\t{v}" for n, v in enumerate(values, start=1)]',
+        'lines = (f"{n} {v}" for n, v in enumerate(values, start=1))',
+        'lines = (f"{n}\\t{v}" for n, v in enumerate(values, start=1))',
         ["tests/test_readme.py"],
     ),
     (

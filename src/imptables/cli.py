@@ -14,11 +14,19 @@ dumps are canonical (sorted keys, two-space indent, trailing newline),
 so parsing and re-serializing them is byte-identical.
 
 Each subcommand is a module of `imptables.commands` whose ``run(args)``
-returns its exit code and the text to write; `main` is the only code
-that opens the destination and writes to it.  It opens --output before
-the subcommand runs, so a path that cannot be opened fails at once, and
-a usage error found after that leaves the file empty, as a shell
-redirection does.
+returns its exit code and the chunks of text to write; `main` is the
+only code that opens the destination and writes to it.  It opens
+--output before the subcommand runs, so a path that cannot be opened
+fails at once, and a usage error found after that leaves the file
+empty, as a shell redirection does.
+
+Every text format streams: plain, csv and bfile output is written one
+line per chunk (the `table` command one block of rows per chunk), and
+the long reports (`verify`, `series` csv and bfile, `table`) format
+each line only as it is written, so a call's memory does not grow with
+its text.  A json result is one chunk, `json.dumps` of the payload.
+A subcommand finishes everything that can fail, its exit code included,
+before it returns, so the chunks only format what is already computed.
 
 Exit codes: 0 success or verified, 1 counterexample found (including
 a closed form that expands to a non-integral or negative count: one
@@ -112,16 +120,25 @@ def _setting(
     return value
 
 
-def _render(fmt: str, payload: object, lines: list[str]) -> list[str]:
-    """A whole result as chunks: the canonical json of ``payload``, or the
-    ``lines`` of the plain, csv or bfile format, each newline-terminated."""
+def _render(fmt: str, payload: object, lines: Iterable[str]) -> Iterable[str]:
+    """A result as chunks: the canonical json of ``payload`` as one chunk,
+    or the ``lines`` of the plain, csv or bfile format, one newline-terminated
+    chunk per line.
+
+    The text chunks are made as `main` writes them, so a text report is
+    never held whole, and ``lines`` may be a generator that formats each
+    line only then.  Such a generator must only format: anything that can
+    fail (a setting, a budget, a check, the verdict behind the exit code)
+    is done before it is made, or a failure would leave part of a report
+    written.
+    """
     if fmt == "json":
         # Imported here, not at the top: only json output needs it, and every
         # call would pay for the import.
         import json
 
         return [json.dumps(payload, indent=2, sort_keys=True) + "\n"]
-    return ["\n".join(lines) + "\n"]
+    return (line + "\n" for line in lines)
 
 
 # --- command line ------------------------------------------------------------

@@ -1,5 +1,7 @@
 """``imptables series NAME``: coefficients of one count series."""
 
+from itertools import chain
+
 from ..cli import Result, _render, _setting
 from ..series import closed_form, series_description
 
@@ -12,9 +14,9 @@ def run(args) -> Result:
     if args.format == "plain":
         lines = [" ".join(map(str, values))]
     elif args.format == "csv":
-        lines = [f"n,{args.name}"] + [f"{n},{v}" for n, v in enumerate(values, start=1)]
+        lines = chain([f"n,{args.name}"], (f"{n},{v}" for n, v in enumerate(values, start=1)))
     elif args.format == "bfile":
-        lines = [f"{n} {v}" for n, v in enumerate(values, start=1)]
+        lines = (f"{n} {v}" for n, v in enumerate(values, start=1))
     payload = {
         "series": args.name,
         "description": series_description(args.name),

@@ -1,5 +1,7 @@
 """``imptables verify``: brute force vs recurrence vs closed form, per n."""
 
+from collections.abc import Iterator
+
 from ..cli import Result, _render, _setting
 from ..series import SERIES_VALUES, closed_form
 
@@ -43,13 +45,16 @@ def run(args) -> Result:
     names = SERIES_VALUES[sem.name]
     rows = _verify_rows(n_max, sem, names, limit)
     all_agree = all(row["agree"] for row in rows)
-    if args.format == "csv":
-        lines = [",".join(["n", *names, "g"])]
-        for row in rows:
-            values = [row["recurrence"][k] for k in names]
-            lines.append(",".join(map(str, [row["n"], *values, sum(values)])))
-    else:
-        lines = [f"{sem.name} three-way agreement, n <= {n_max} (brute budget {limit})"]
+
+    def lines() -> Iterator[str]:
+        # Made as they are written; the rows and the verdict are final above.
+        if args.format == "csv":
+            yield ",".join(["n", *names, "g"])
+            for row in rows:
+                values = [row["recurrence"][k] for k in names]
+                yield ",".join(map(str, [row["n"], *values, sum(values)]))
+            return
+        yield f"{sem.name} three-way agreement, n <= {n_max} (brute budget {limit})"
         for row in rows:
             parts = [
                 f"{path} skipped"
@@ -58,7 +63,8 @@ def run(args) -> Result:
                 for path in ("brute", "recurrence", "closed")
             ]
             verdict = "ok" if row["agree"] else "MISMATCH"
-            lines.append(f"n={row['n']}: " + " | ".join(parts) + f" -> {verdict}")
-        lines.append("all paths agree" if all_agree else "paths disagree")
+            yield f"n={row['n']}: " + " | ".join(parts) + f" -> {verdict}"
+        yield "all paths agree" if all_agree else "paths disagree"
+
     payload = {"semantics": sem.name, "n_max": n_max, "agree": all_agree, "rows": rows}
-    return (0 if all_agree else 1), _render(args.format, payload, lines)
+    return (0 if all_agree else 1), _render(args.format, payload, lines())

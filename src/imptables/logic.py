@@ -151,9 +151,16 @@ class Node(_Record):
 Bracketing = Leaf | Node
 
 
+def _not_a_tree(tree: object) -> TypeError:
+    """The error of a tree recursion that reaches neither a Leaf nor a Node."""
+    return TypeError(f"tree must be a Leaf or Node, got {tree!r}")
+
+
 def leaf_count(tree: Bracketing) -> int:
     if isinstance(tree, Leaf):
         return 1
+    if not isinstance(tree, Node):
+        raise _not_a_tree(tree)
     return leaf_count(tree.left) + leaf_count(tree.right)
 
 
@@ -167,6 +174,8 @@ def format_formula(tree: Bracketing) -> str:
     """Fully parenthesized ASCII rendering, e.g. ``((p1=>p2)=>p3)``."""
     if isinstance(tree, Leaf):
         return f"p{tree.index}"
+    if not isinstance(tree, Node):
+        raise _not_a_tree(tree)
     return f"({format_formula(tree.left)}=>{format_formula(tree.right)})"
 
 
@@ -298,6 +307,8 @@ _JOIN_BLOCK = 4096
 def _column(tree: Bracketing, sem: Semantics, rows: list[bytes]) -> bytes:
     if isinstance(tree, Leaf):
         return bytes(sem.values)
+    if not isinstance(tree, Node):
+        raise _not_a_tree(tree)
     right = _column(tree.right, sem, rows)
     mapped = [right.translate(row) for row in rows]
     left = _column(tree.left, sem, rows)
@@ -437,6 +448,8 @@ def _dp_counts(tree: Bracketing, sem: Semantics) -> list[int]:
         for v in sem.values:
             counts[v] = 1
         return counts
+    if not isinstance(tree, Node):
+        raise _not_a_tree(tree)
     left = _dp_counts(tree.left, sem)
     right = _dp_counts(tree.right, sem)
     out = [0, 0, 0]

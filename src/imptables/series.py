@@ -71,11 +71,13 @@ def _rational_sqrt(q: Scalar) -> Scalar:
 
 
 def _exact(c: Scalar) -> Scalar:
-    """`c` as an `int` when it is integral, else as a `Fraction`."""
+    """`c` as an `int` when it is integral, else as a `Fraction`; TypeError
+    for anything but an `int` or a `Fraction`, so a float never rounds in."""
     if type(c) is int:
         return c
-    q = _fraction()(c)
-    return q.numerator if q.denominator == 1 else q
+    if not isinstance(c, _fraction()):
+        raise TypeError(f"coefficients must be int or Fraction, got {c!r}")
+    return c.numerator if c.denominator == 1 else c
 
 
 def _divide(c: Scalar, d: Scalar) -> Scalar:

@@ -12,6 +12,7 @@ import imptables.logic as logic
 from imptables.cli import main
 from imptables.logic import (
     CountVector,
+    brute_counts,
     catalan,
     enumerate_bracketings,
     evaluate,
@@ -20,6 +21,8 @@ from imptables.logic import (
     semantics_from_radix,
 )
 from imptables.monoid import run_all
+from imptables.recurrences import counts_by_recurrence
+from imptables.series import SERIES_VALUES, closed_form, series_description
 
 
 def run(capsys, *argv):
@@ -292,6 +295,158 @@ class TestVerify:
         assert "n=2: brute t=1 f=5 u=3 | recurrence t=5 f=1 u=3 | " in out
         assert "-> MISMATCH" in out
         assert out.endswith("paths disagree\n")
+
+
+def whole_verify_texts(n_max, sem, budget):
+    """`verify`'s output in each format, each built whole from the three
+    routes, as the command built it before it streamed its lines."""
+    names = SERIES_VALUES[sem.name]
+    table = counts_by_recurrence(n_max, sem)
+    closed = {name: closed_form(name, n_max) for name in names}
+    rows = []
+    for n in range(1, n_max + 1):
+        brute = None
+        if n <= budget:
+            counts = brute_counts(n, sem)
+            brute = {name: getattr(counts, name) for name in names}
+        recurrence = {name: table.row(n)[value] for name, value in names.items()}
+        closed_row = {name: closed[name].coefficient(n) for name in names}
+        agree = closed_row == recurrence and brute in (None, recurrence)
+        rows.append(
+            {"n": n, "brute": brute, "recurrence": recurrence, "closed": closed_row, "agree": agree}
+        )
+    assert all(row["agree"] for row in rows)
+    plain = [f"{sem.name} three-way agreement, n <= {n_max} (brute budget {budget})"]
+    for row in rows:
+        parts = [
+            f"{path} skipped"
+            if row[path] is None
+            else f"{path} " + " ".join(f"{name}={row[path][name]}" for name in names)
+            for path in ("brute", "recurrence", "closed")
+        ]
+        plain.append(f"n={row['n']}: " + " | ".join(parts) + " -> ok")
+    plain.append("all paths agree")
+    csv = [",".join(["n", *names, "g"])]
+    for row in rows:
+        counts = [row["recurrence"][name] for name in names]
+        csv.append(",".join(map(str, [row["n"], *counts, sum(counts)])))
+    payload = {"semantics": sem.name, "n_max": n_max, "agree": True, "rows": rows}
+    return {
+        "plain": "\n".join(plain) + "\n",
+        "csv": "\n".join(csv) + "\n",
+        "json": json.dumps(payload, indent=2, sort_keys=True) + "\n",
+    }
+
+
+class RecordingSink:
+    """A stand-in for stdout that keeps every chunk written to it."""
+
+    def __init__(self):
+        self.chunks = []
+
+    def write(self, text):
+        self.chunks.append(text)
+        return len(text)
+
+    def writelines(self, chunks):
+        for chunk in chunks:
+            self.write(chunk)
+
+    def flush(self):
+        pass
+
+
+# Starts ARGV with its stdout on the null device, waits for it and prints
+# its exit code and peak RSS in KiB.  On Linux a child's peak RSS starts
+# from the peak of the process that starts it, so this runs in a fresh
+# `python -S`, which stays below any imptables call, as perfbench/spawn.py
+# does.
+PEAK_RSS_LAUNCHER = """
+import os, sys
+null = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ, file_actions=null)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def peak_rss_kib(*argv):
+    """The exit code and peak RSS (KiB) of a fresh ``python -m imptables ARGV``."""
+    src = str(Path(imptables.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", PEAK_RSS_LAUNCHER, sys.executable, "-m", "imptables", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return tuple(map(int, proc.stdout.split()))
+
+
+class TestStreaming:
+    """Every text format is written one line per chunk, and the long
+    reports format each line only as it is written."""
+
+    @pytest.mark.parametrize("semantics", [2, 3])
+    def test_verify_streamed_output_matches_whole_renderings(self, capsys, tmp_path, semantics):
+        sem = semantics_from_radix(semantics)
+        for n_max in (1, 2, 5, 12):
+            for budget in (0, 4):
+                for fmt, text in whole_verify_texts(n_max, sem, budget).items():
+                    argv = ["verify", "--n", str(n_max), "--semantics", str(semantics),
+                            "--budget", str(budget), "--format", fmt]
+                    assert run(capsys, *argv) == (0, text, "")
+                    target = tmp_path / f"verify.{fmt}"
+                    assert run(capsys, *argv, "--output", str(target)) == (0, "", "")
+                    assert target.read_text() == text
+
+    @pytest.mark.parametrize("name", ["t", "u", "r", "g2", "i"])
+    def test_series_streamed_output_matches_whole_renderings(self, capsys, tmp_path, name):
+        for n_max in (1, 2, 13):
+            series = closed_form(name, n_max)
+            values = [series.coefficient(n) for n in range(1, n_max + 1)]
+            numbered = list(enumerate(values, start=1))
+            payload = {
+                "series": name,
+                "description": series_description(name),
+                "start": 1,
+                "coefficients": values,
+            }
+            expected = {
+                "plain": " ".join(map(str, values)) + "\n",
+                "csv": "\n".join([f"n,{name}"] + [f"{n},{v}" for n, v in numbered]) + "\n",
+                "bfile": "\n".join(f"{n} {v}" for n, v in numbered) + "\n",
+                "json": json.dumps(payload, indent=2, sort_keys=True) + "\n",
+            }
+            for fmt, text in expected.items():
+                argv = ["series", name, "--n", str(n_max), "--format", fmt]
+                assert run(capsys, *argv) == (0, text, "")
+                target = tmp_path / f"series.{fmt}"
+                assert run(capsys, *argv, "--output", str(target)) == (0, "", "")
+                assert target.read_text() == text
+
+    def test_verify_writes_one_chunk_per_line(self, capsys, monkeypatch):
+        sink = RecordingSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert main(["verify", "--semantics", "3", "--n", "300", "--budget", "0"]) == 0
+        lines = "".join(sink.chunks).splitlines()
+        assert len(lines) == 302
+        assert len(sink.chunks) >= 302
+        assert max(map(len, sink.chunks)) <= max(map(len, lines)) + 1
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads a Linux peak RSS in KiB")
+    def test_verify_peak_rss_does_not_grow_with_its_report(self):
+        # On a 2-vCPU Linux VM with Python 3.11, n = 600 (a 1.2 MB report)
+        # peaked 1.1-1.3 MiB above n = 8 with every line made as it is
+        # written, and 4.0-4.2 MiB above it with the report joined whole.
+        argv = ("verify", "--semantics", "3", "--budget", "0", "--n")
+        code, small = peak_rss_kib(*argv, "8")
+        assert code == 0
+        code, large = peak_rss_kib(*argv, "600")
+        assert code == 0
+        assert large - small <= 2560
 
 
 class TestMonoid:

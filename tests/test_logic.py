@@ -168,6 +168,24 @@ class TestBracketings:
         assert indices == list(range(1, len(indices) + 1))
 
 
+    @pytest.mark.parametrize(
+        "call, shown",
+        [
+            (lambda: leaf_count(None), "None"),
+            (lambda: format_formula("p1"), "'p1'"),
+            (lambda: tree_counts(3), "3"),
+            (lambda: tree_counts(Node(Leaf(1), 3)), "3"),
+            (lambda: evaluate(3, (0,)), "3"),
+            (lambda: truth_column(Node(None, Leaf(2))), "None"),
+        ],
+        ids=["leaf_count", "format_formula", "tree_counts", "tree_counts-subtree", "evaluate",
+             "truth_column"],
+    )
+    def test_tree_must_be_a_leaf_or_node(self, call, shown):
+        with pytest.raises(TypeError, match=rf"^tree must be a Leaf or Node, got {shown}$"):
+            call()
+
+
 class TestBracketingAt:
     def test_matches_enumeration(self):
         for n in range(1, 10):

@@ -98,20 +98,35 @@ BROKEN_PIPE = b"error: cannot write output: Broken pipe\n"
 NO_SPACE = b"error: cannot write output: No space left on device\n"
 
 
-@BUFFERING
-def test_reader_leaves_early(buffered):
-    # The table is far larger than a pipe buffer, so the writer is still
-    # writing when the reader goes away after one line, as `| head -1` does.
-    proc = imptables_process(
-        "table", "--n", "10", stdout=subprocess.PIPE, buffered=buffered
-    )
+def leave_early(*argv, buffered):
+    """Read the first line of ``imptables ARGV``, then close the pipe, as
+    `| head -1` does; return the exit code, that line and stderr.
+
+    Each output read here is far larger than a pipe buffer, so the writer
+    is still writing when the reader goes away.
+    """
+    proc = imptables_process(*argv, stdout=subprocess.PIPE, buffered=buffered)
     first = proc.stdout.readline()
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
-    assert proc.wait(timeout=60) == 2
+    return proc.wait(timeout=60), first, err
+
+
+@BUFFERING
+def test_reader_leaves_early(buffered):
+    code, first, err = leave_early("table", "--n", "10", buffered=buffered)
+    assert (code, err) == (2, BROKEN_PIPE)
     assert first.startswith(b"(p1=>(p2=>")
-    assert err == BROKEN_PIPE
+
+
+@BUFFERING
+def test_reader_leaves_a_streamed_report_early(buffered):
+    # The report is written a line at a time, so the write that fails may
+    # come between two lines.
+    code, first, err = leave_early("verify", "--n", "300", "--budget", "0", buffered=buffered)
+    assert (code, err) == (2, BROKEN_PIPE)
+    assert first == b"kleene three-way agreement, n <= 300 (brute budget 0)\n"
 
 
 @BUFFERING
@@ -134,7 +149,9 @@ needs_dev_full = pytest.mark.skipif(
 @needs_dev_full
 @BUFFERING
 @pytest.mark.parametrize(
-    "argv", [("series", "t", "--n", "3"), ("table", "--n", "9")], ids=["series", "table"]
+    "argv",
+    [("series", "t", "--n", "3"), ("table", "--n", "9"), ("verify", "--n", "300", "--budget", "0")],
+    ids=["series", "table", "verify"],
 )
 def test_full_device_as_stdout(argv, buffered):
     with open("/dev/full", "wb") as full:

@@ -309,7 +309,7 @@ class TestEveryConnective:
     """Every counting path against brute force for other connectives.
 
     Brute force, `tree_counts`, `truth_column`, `color_class_counts` and
-    the grouped recurrence kernel read `_IMPLIES_TABLE` on every call, so
+    the recurrence kernel read `_IMPLIES_TABLE` on every call, so
     patching it turns them into counters for another binary connective.
     None of them may depend on which table implication happens to be.
     """

@@ -96,6 +96,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PowerSeries([])
 
+    @pytest.mark.parametrize(
+        "value, shown", [(0.1, "0.1"), ("a", "'a'"), (True, "True")], ids=["float", "str", "bool"]
+    )
+    def test_coefficients_must_be_int_or_fraction(self, value, shown):
+        with pytest.raises(TypeError, match=f"^coefficients must be int or Fraction, got {shown}$"):
+            PowerSeries([1, value])
+
     def test_builders(self):
         assert PowerSeries.identity(3).coeffs == (1, 0, 0, 0)
         assert PowerSeries.zero(2).coeffs == (0, 0, 0)

@@ -279,8 +279,12 @@ class TestStartupLoadsNoSpareCode:
 NON_INTEGRAL = {
     "division": ("PowerSeries([1, 1]) / 3", [(1, 3), (1, 3)], ["Fraction", "Fraction"]),
     "sqrt": ("PowerSeries([4, 1]).sqrt()", [(2, 1), (1, 4)], ["int", "Fraction"]),
-    "fraction-root": ("PowerSeries([0.25, 1]).sqrt()", [(1, 2), (1, 1)], ["Fraction", "int"]),
-    "float-coefficients": ("PowerSeries([0.5, 2.0])", [(1, 2), (2, 1)], ["Fraction", "int"]),
+    "fraction-root": ("(PowerSeries([1, 4]) / 4).sqrt()", [(1, 2), (1, 1)], ["Fraction", "int"]),
+    "fraction-coefficients": (
+        "PowerSeries([__import__('fractions').Fraction(n, 2) for n in (1, 4)])",
+        [(1, 2), (2, 1)],
+        ["Fraction", "int"],
+    ),
     "fraction-factor": (
         "PowerSeries([1, 2]) * __import__('fractions').Fraction(1, 2)",
         [(1, 2), (1, 1)],
