@@ -29,6 +29,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+INIT = "src/imptables/__init__.py"
 LOGIC = "src/imptables/logic.py"
 SERIES = "src/imptables/series.py"
 RECURRENCES = "src/imptables/recurrences.py"
@@ -93,28 +94,54 @@ DISPATCH = """\
             command = importlib.import_module(f".commands.{args.command}", __package__)
 """
 
+# The head of `counts_by_recurrence`, up to its kernel.
+RECURRENCE_HEAD = """def counts_by_recurrence(n_max: int, sem: Semantics) -> SequenceTable:
+    \"\"\"Entry counts for all values and all n up to n_max, by convolution.\"\"\"
+    _check_semantics(sem)
+    _check_int("n_max", n_max, 1)
+    kernel = _kernel(sem)
+"""
+# The head of `run_all`, up to its bound claim.
+RUN_ALL_HEAD = """def run_all(
+    order: int = DEFAULT_ORDER,
+    k_max: int = DEFAULT_K_MAX,
+    seed: int = DEFAULT_SEED,
+    tamper: Tamper | None = None,
+) -> list[VerificationReport]:
+    \"\"\"Run every verification suite for both logics and collect reports.
+
+    A tamper triple applies to whichever logic owns the named series;
+    the other logic runs clean.  A tamper that names no series of
+    either logic, an index outside 0..order, a zero delta, or k_max
+    below 2 raises ValueError, and an index, delta or k_max that is not
+    an int raises TypeError, before anything is expanded.
+    \"\"\"
+    _check_tamper(tamper, KLEENE_SERIES + CLASSICAL_SERIES, order, "a series of either logic")
+    _check_int("k_max", k_max, 2)
+    reports: list[VerificationReport] = []
+    for logic, names in SERIES.items():
+        local_tamper = tamper if tamper is not None and tamper[0] in names else None
+        realizer = Realizer(logic, order, tamper=local_tamper)
+        samples = default_sample(logic, seed=seed)
+        nonidentity = [e for e in samples if not e.is_identity]
+        reports.append(verify_commutativity(realizer, _pairs(samples)))
+        reports.append(verify_associativity(realizer, _triples(samples)))
+        reports.append(verify_bound(realizer, nonidentity))
+"""
+# Tests that pass a value of the wrong type to the sites of `_check_int`.
+INT_RULE = "tests/test_int_arguments.py"
+BOOL_ORDER = "tests/test_series.py::TestClosedForms::test_order_must_be_an_int"
+BOOL_POWER = "tests/test_monoid.py::TestRealizer::test_power_must_be_an_int"
+BOOL_TRUTH_VALUE = "tests/test_logic.py::TestImplies::test_truth_value_must_be_an_int"
+
 # name, file, exact old text, new text, tests that must fail.
 MUTANTS = [
     (
         "kernel snapshotted at import",
         RECURRENCES,
-        """def counts_by_recurrence(n_max: int, sem: Semantics) -> SequenceTable:
-    \"\"\"Entry counts for all values and all n up to n_max, by convolution.\"\"\"
-    _check_semantics(sem)
-    if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
-    kernel = _kernel(sem)
-""",
-        """_KERNELS = {s.radix: _kernel(s) for s in (KLEENE, CLASSICAL)}
-
-
-def counts_by_recurrence(n_max: int, sem: Semantics) -> SequenceTable:
-    \"\"\"Entry counts for all values and all n up to n_max, by convolution.\"\"\"
-    _check_semantics(sem)
-    if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
-    kernel = _KERNELS[sem.radix]
-""",
+        RECURRENCE_HEAD,
+        "_KERNELS = {s.radix: _kernel(s) for s in (KLEENE, CLASSICAL)}\n\n\n"
+        + RECURRENCE_HEAD.replace("kernel = _kernel(sem)", "kernel = _KERNELS[sem.radix]"),
         ["tests/test_recurrences.py"],
     ),
     (
@@ -342,59 +369,9 @@ _ROWS = [bytes(row).ljust(256, b"\\0") for row in _IMPLIES_TABLE]
     (
         "run_all calling a claim through a private alias",
         MONOID,
-        """def run_all(
-    order: int = DEFAULT_ORDER,
-    k_max: int = DEFAULT_K_MAX,
-    seed: int = DEFAULT_SEED,
-    tamper: Tamper | None = None,
-) -> list[VerificationReport]:
-    \"\"\"Run every verification suite for both logics and collect reports.
-
-    A tamper triple applies to whichever logic owns the named series;
-    the other logic runs clean.  A tamper that names no series of
-    either logic, an index outside 0..order, a zero delta, or k_max
-    below 2 raises ValueError before anything is expanded.
-    \"\"\"
-    _check_tamper(tamper, KLEENE_SERIES + CLASSICAL_SERIES, order, "a series of either logic")
-    _check_k_max(k_max)
-    reports: list[VerificationReport] = []
-    for logic, names in SERIES.items():
-        local_tamper = tamper if tamper is not None and tamper[0] in names else None
-        realizer = Realizer(logic, order, tamper=local_tamper)
-        samples = default_sample(logic, seed=seed)
-        nonidentity = [e for e in samples if not e.is_identity]
-        reports.append(verify_commutativity(realizer, _pairs(samples)))
-        reports.append(verify_associativity(realizer, _triples(samples)))
-        reports.append(verify_bound(realizer, nonidentity))
-""",
-        """_verify_bound = verify_bound
-
-
-def run_all(
-    order: int = DEFAULT_ORDER,
-    k_max: int = DEFAULT_K_MAX,
-    seed: int = DEFAULT_SEED,
-    tamper: Tamper | None = None,
-) -> list[VerificationReport]:
-    \"\"\"Run every verification suite for both logics and collect reports.
-
-    A tamper triple applies to whichever logic owns the named series;
-    the other logic runs clean.  A tamper that names no series of
-    either logic, an index outside 0..order, a zero delta, or k_max
-    below 2 raises ValueError before anything is expanded.
-    \"\"\"
-    _check_tamper(tamper, KLEENE_SERIES + CLASSICAL_SERIES, order, "a series of either logic")
-    _check_k_max(k_max)
-    reports: list[VerificationReport] = []
-    for logic, names in SERIES.items():
-        local_tamper = tamper if tamper is not None and tamper[0] in names else None
-        realizer = Realizer(logic, order, tamper=local_tamper)
-        samples = default_sample(logic, seed=seed)
-        nonidentity = [e for e in samples if not e.is_identity]
-        reports.append(verify_commutativity(realizer, _pairs(samples)))
-        reports.append(verify_associativity(realizer, _triples(samples)))
-        reports.append(_verify_bound(realizer, nonidentity))
-""",
+        RUN_ALL_HEAD,
+        "_verify_bound = verify_bound\n\n\n"
+        + RUN_ALL_HEAD.replace("append(verify_bound(", "append(_verify_bound("),
         ["tests/test_monoid.py::TestRunAll::test_calls_every_claim_through_the_module"],
     ),
     (
@@ -588,7 +565,7 @@ def run_all(
     (
         "run_all leaving k_max to the power identities",
         MONOID,
-        "    _check_k_max(k_max)\n    reports: list",
+        '    _check_int("k_max", k_max, 2)\n    reports: list',
         "    reports: list",
         ["tests/test_monoid.py::TestRunAll::test_k_max_below_two_rejected_before_any_expansion"],
     ),
@@ -612,10 +589,13 @@ def run_all(
     ),
     (
         "floor compared with <=",
-        CLI,
-        "value is not None and floor is not None and value < floor",
-        "value is not None and floor is not None and value <= floor",
-        ["tests/test_cli.py::TestSettings"],
+        INIT,
+        "    if floor is not None and value < floor:\n",
+        "    if floor is not None and value <= floor:\n",
+        [
+            "tests/test_cli.py::TestSettings::test_floor_is_accepted",
+            "tests/test_logic.py::TestBracketings::test_counts_match_catalan",
+        ],
     ),
     (
         "brute leg dropped from agree",
@@ -812,8 +792,8 @@ def run_all(
     (
         "a negative budget reported as a budget overrun",
         LOGIC,
-        """    if budget is not None and budget < 0:
-        raise ValueError(f"budget must be at least 0, got {budget}")
+        """    if budget is not None:
+        _check_int("budget", budget, 0)
 """,
         "",
         [
@@ -891,16 +871,65 @@ def main(argv: Sequence[str] | None = None) -> int:
     (
         "a bool order accepted",
         SERIES,
-        "    if type(order) is not int:\n",
-        "    if not isinstance(order, int):\n",
-        ["tests/test_series.py::TestClosedForms::test_order_must_be_an_int"],
+        '    _check_int("order", order, 1)\n',
+        '    if order < 1:\n        raise ValueError(f"order must be at least 1, got {order}")\n',
+        [BOOL_ORDER],
     ),
     (
         "a bool power accepted",
         MONOID,
-        "    if type(k) is not int:\n",
-        "    if not isinstance(k, int):\n",
-        ["tests/test_monoid.py::TestRealizer::test_power_must_be_an_int"],
+        '        _check_int("k", k, 0)\n',
+        '        if k < 0:\n            raise ValueError(f"k must be at least 0, got {k}")\n',
+        [BOOL_POWER],
+    ),
+    (
+        "a bool accepted as an int",
+        INIT,
+        "    if type(value) is not int:\n",
+        "    if not isinstance(value, int):\n",
+        [BOOL_ORDER, BOOL_POWER, BOOL_TRUTH_VALUE],
+    ),
+    (
+        "a truth value's type unchecked",
+        LOGIC,
+        '    _check_int("truth value", v)\n',
+        "",
+        [BOOL_TRUTH_VALUE],
+    ),
+    (
+        "a tree index's type unchecked",
+        LOGIC,
+        '    _check_int("index", index)\n',
+        "",
+        [INT_RULE],
+    ),
+    (
+        "a valuation length's type unchecked",
+        LOGIC,
+        '    _check_int("n", n, 0)\n',
+        "",
+        [INT_RULE],
+    ),
+    (
+        "a series power's exponent unchecked",
+        SERIES,
+        '        _check_int("exponent", exponent, 0)\n',
+        "",
+        [INT_RULE],
+    ),
+    (
+        "a tamper index's type unchecked",
+        MONOID,
+        '        _check_int("tamper index", index)\n',
+        "",
+        [INT_RULE],
+    ),
+    (
+        "a tamper delta's type unchecked",
+        MONOID,
+        '        _check_int("tamper delta", delta)\n',
+        "",
+        [INT_RULE],
     ),
 ]
 

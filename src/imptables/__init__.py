@@ -57,3 +57,16 @@ def __getattr__(name: str) -> object:
 
 def __dir__() -> list[str]:
     return sorted(set(globals()) | set(__all__))
+
+
+def _check_int(name: str, value: object, floor: int | None = None, why: str = "") -> None:
+    """The one rule of every integer argument (a size, an order, a budget,
+    a power, an index, a truth value): ``value`` must be an `int`, and a
+    `bool`, which would pass for 0 or 1, is not one; with a ``floor``, it
+    must also be at least that (``why`` says why the floor is there).
+    Here, not in a submodule, because every module already loads the
+    package, and `logic` and `series` must not import each other."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if floor is not None and value < floor:
+        raise ValueError(f"{name} must be at least {floor}{why}, got {value}")

@@ -37,6 +37,9 @@ Exit 2 is any ValueError: this module raises plain ValueError for its
 own usage errors (a setting below its floor, an environment value that
 is not an integer, a bad --tamper, an --output path that cannot be
 opened), as the library does, so there is no separate usage-error type.
+A setting's floor is checked by the library's one integer rule,
+`imptables._check_int`, so "--n must be at least 1, got 0" has the same
+wording as "n must be at least 1, got 0" from `catalan(0)`.
 Output that cannot be written (a closed pipe, a full disk) exits 2 too.
 
 Defaults for --order, --seed and --budget can be overridden with the
@@ -103,7 +106,9 @@ def _setting(
 
     A value below ``floor`` (``why`` says why the floor is there) or an
     environment value that is not an integer is a usage error naming
-    the source: the flag, or the environment variable.
+    the source: the flag, or the environment variable.  The floor is
+    checked by `imptables._check_int` with the source as the name, the
+    rule every library entry point applies to its integer arguments.
     """
     source = flag
     raw = os.environ.get(env, "") if env and value is None else ""
@@ -115,8 +120,8 @@ def _setting(
             raise ValueError(f"{source} must be an integer, got {raw!r}")
     elif value is None:
         value = default
-    if value is not None and floor is not None and value < floor:
-        raise ValueError(f"{source} must be at least {floor}{why}, got {value}")
+    if value is not None and floor is not None:
+        imptables._check_int(source, value, floor, why)
     return value
 
 

@@ -14,6 +14,8 @@ import math
 import operator
 from collections.abc import Callable, Iterator, Sequence
 
+from . import _check_int
+
 FALSE = 0
 TRUE = 1
 UNKNOWN = 2
@@ -121,6 +123,7 @@ def _check_semantics(sem: object) -> None:
 
 
 def _check_value(v: int, sem: Semantics) -> None:
+    _check_int("truth value", v)
     if v not in sem.values:
         raise ValueError(f"truth value {v!r} is not legal in {sem.name} semantics")
 
@@ -181,8 +184,7 @@ def format_formula(tree: Bracketing) -> str:
 
 def catalan(n: int) -> int:
     """Number of bracketings of an n-variable chain: binom(2n-2, n-1)/n."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    _check_int("n", n, 1)
     return math.comb(2 * n - 2, n - 1) // n
 
 
@@ -193,8 +195,7 @@ def enumerate_bracketings(n: int) -> tuple[Bracketing, ...]:
     recursively by the left subtree's position, then the right's.  The
     result is deterministic, so trees are addressable by index.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    _check_int("n", n, 1)
     return tuple(_bracketings(n, Leaf, Node))
 
 
@@ -243,6 +244,7 @@ def bracketing_at(n: int, index: int) -> Bracketing:
     is cached.
     """
     total = catalan(n)
+    _check_int("index", index)
     if not 0 <= index < total:
         raise ValueError(
             f"tree index {index} out of range; n={n} has {total} "
@@ -405,8 +407,8 @@ def _plane_bracketings(
 
 
 def _check_budget(n: int, sem: Semantics, budget: int | None) -> None:
-    if budget is not None and budget < 0:
-        raise ValueError(f"budget must be at least 0, got {budget}")
+    if budget is not None:
+        _check_int("budget", budget, 0)
     limit = sem.brute_budget if budget is None else budget
     if n > limit:
         raise BudgetError(
@@ -422,8 +424,7 @@ def brute_counts(n: int, sem: Semantics = KLEENE, budget: int | None = None) -> 
     catalan(n) * radix**n table entries.
     """
     _check_semantics(sem)
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    _check_int("n", n, 1)
     _check_budget(n, sem, budget)
     tally = [0, 0, 0]
     for planes in _plane_bracketings(n, sem):
@@ -478,8 +479,7 @@ def color_class_counts(
     subtrees, which hold every valuation of the whole chain.
     """
     _check_semantics(sem)
-    if n < 2:
-        raise ValueError(f"color classes need a root split, so n >= 2 (got {n})")
+    _check_int("n", n, 2, " (a root split is needed)")
     _check_budget(n, sem, budget)
     classes = {(a, b): 0 for a in sem.values for b in sem.values}
     for left, right in _plane_bracketings(n, sem, root=lambda *pair: pair):
@@ -491,4 +491,5 @@ def color_class_counts(
 def iter_valuations(n: int, sem: Semantics = KLEENE) -> Iterator[tuple[int, ...]]:
     """Valuations in table-row order: p1 most significant, digits 0,1,2."""
     _check_semantics(sem)
+    _check_int("n", n, 0)
     return itertools.product(sem.values, repeat=n)

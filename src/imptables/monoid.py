@@ -40,10 +40,9 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import reduce
 from operator import add, eq, mul
 
+from . import _check_int
 from .logic import CLASSICAL, _Record, color_class_counts
-from .series import (
-    CLASSICAL_SERIES, KLEENE_SERIES, SERIES_VALUES, PowerSeries, _check_order, closed_form
-)
+from .series import CLASSICAL_SERIES, KLEENE_SERIES, SERIES_VALUES, PowerSeries, closed_form
 
 # Every series a realizer expands, by logic: the generators (the series
 # that count one truth value) and the total (the one that counts none).
@@ -181,22 +180,19 @@ class VerificationReport(_Record):
         return line
 
 
-def _check_k_max(k_max: int) -> None:
-    """Reject a k_max below 2: the power identities start at k = 2."""
-    if k_max < 2:
-        raise ValueError(f"k_max must be at least 2, got {k_max}")
-
-
 def _check_tamper(tamper: Tamper | None, names: Sequence[str], order: int, owner: str) -> None:
     """Reject a tamper whose target is not one of ``names`` (described as
-    ``owner``), whose index lies outside 0..order, or whose delta is 0 (a
-    negative control that changes nothing cannot fail)."""
+    ``owner``), whose index or delta is not an int, whose index lies outside
+    0..order, or whose delta is 0 (a negative control that changes nothing
+    cannot fail)."""
     if tamper is not None:
         name, index, delta = tamper
         if name not in names:
             raise ValueError(f"tamper target {name!r} is not {owner}")
+        _check_int("tamper index", index)
         if not 0 <= index <= order:
             raise ValueError(f"tamper index {index} outside orders 0..{order}")
+        _check_int("tamper delta", delta)
         if delta == 0:
             raise ValueError(f"tamper delta must be nonzero, got {delta}")
 
@@ -213,9 +209,7 @@ class Realizer:
 
     def __init__(self, logic: str, order: int, tamper: Tamper | None = None):
         _generators(logic)
-        _check_order(order)
-        if order < 2:
-            raise ValueError(f"order must be at least 2 to check anything, got {order}")
+        _check_int("order", order, 2, " to check anything")
         self.logic = logic
         self.order = order
         names = SERIES[logic]
@@ -249,11 +243,7 @@ class Realizer:
         return self.series(TOTALS[self.logic])
 
     def power(self, name: str, k: int) -> PowerSeries:
-        # A bool is no power: True would index as 1.
-        if type(k) is not int:
-            raise TypeError(f"k must be an int, got {k!r}")
-        if k < 0:
-            raise ValueError(f"powers must be nonnegative, got {k}")
+        _check_int("k", k, 0)
         memo = self._memo(name)
         while len(memo) <= k:
             memo.append(memo[-1] * memo[1])
@@ -459,7 +449,7 @@ def verify_power_identities(realizer: Realizer, k_max: int) -> VerificationRepor
     """
     if realizer.logic != "kleene":
         raise ValueError("power identities are stated for the three-valued generators")
-    _check_k_max(k_max)
+    _check_int("k_max", k_max, 2)
     every_n = range(realizer.order + 1)
     f, g, u = realizer.series("f"), realizer.series("g"), realizer.series("u")
     power = realizer.power
@@ -642,10 +632,11 @@ def run_all(
     A tamper triple applies to whichever logic owns the named series;
     the other logic runs clean.  A tamper that names no series of
     either logic, an index outside 0..order, a zero delta, or k_max
-    below 2 raises ValueError before anything is expanded.
+    below 2 raises ValueError, and an index, delta or k_max that is not
+    an int raises TypeError, before anything is expanded.
     """
     _check_tamper(tamper, KLEENE_SERIES + CLASSICAL_SERIES, order, "a series of either logic")
-    _check_k_max(k_max)
+    _check_int("k_max", k_max, 2)
     reports: list[VerificationReport] = []
     for logic, names in SERIES.items():
         local_tamper = tamper if tamper is not None and tamper[0] in names else None

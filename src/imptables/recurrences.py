@@ -30,6 +30,7 @@ square moves it off r^n times the Catalan number.
 
 from operator import mul
 
+from . import _check_int
 from .logic import CLASSICAL, KLEENE, Semantics, _check_semantics, _Record, implies
 
 
@@ -87,8 +88,7 @@ def _square(col: list[int]) -> int:
 def counts_by_recurrence(n_max: int, sem: Semantics) -> SequenceTable:
     """Entry counts for all values and all n up to n_max, by convolution."""
     _check_semantics(sem)
-    if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    _check_int("n_max", n_max, 1)
     kernel = _kernel(sem)
     # The running argument of each square: x_a for (a,), x_a - x_b for
     # (a, b).  At n = 1 each value is taken once.

@@ -41,6 +41,8 @@ import math
 from collections.abc import Iterable
 from operator import mul
 
+from . import _check_int
+
 # A string, as `Fraction` is not imported here (see the module docstring).
 Scalar = "int | Fraction"
 
@@ -128,8 +130,7 @@ class PowerSeries:
 
     @classmethod
     def x(cls, order: int) -> "PowerSeries":
-        if order < 1:
-            raise ValueError("order must be at least 1 to hold an x term")
+        _check_int("order", order, 1, " to hold an x term")
         return cls([0, 1] + [0] * (order - 1))
 
     @property
@@ -209,8 +210,7 @@ class PowerSeries:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "PowerSeries":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("series powers are defined for nonnegative integers")
+        _check_int("exponent", exponent, 0)
         if exponent == 0:
             return PowerSeries.identity(self.order)
         return functools.reduce(mul, [self] * exponent)
@@ -290,14 +290,6 @@ def _series_key(name: str) -> str:
     return key
 
 
-def _check_order(order: int) -> None:
-    """Reject an ``order`` that is not an int: a float, or a bool, which would
-    pass for 0 or 1.  The one type check of a truncation order, for
-    `closed_form` and `monoid.Realizer` alike."""
-    if type(order) is not int:
-        raise TypeError(f"order must be an int, got {order!r}")
-
-
 @functools.lru_cache(maxsize=8)
 def _radicals(logic: str, order: int) -> tuple[PowerSeries, PowerSeries]:
     a, b, c, d = _RADICALS[logic]
@@ -316,9 +308,7 @@ def closed_form(name: str, order: int) -> PowerSeries:
     term, and no negative entries; a violation raises ConsistencyError.
     """
     key = _series_key(name)
-    _check_order(order)
-    if order < 1:
-        raise ValueError(f"order must be at least 1, got {order}")
+    _check_int("order", order, 1)
     if key == "i":
         return PowerSeries.identity(order)
     logic, _, _, (c, cs, cw, d) = _COUNT_SERIES[key]

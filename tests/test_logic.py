@@ -79,6 +79,21 @@ class TestImplies:
         with pytest.raises(ValueError):
             implies(3, 0, KLEENE)
 
+    @pytest.mark.parametrize("value", [True, False, 1.0, "1"], ids=["true", "false", "float", "str"])
+    def test_truth_value_must_be_an_int(self, value):
+        # True and False would index the table as 1 and 0.
+        message = f"^truth value must be an int, got {value!r}$"
+        with pytest.raises(TypeError, match=message):
+            implies(value, 0, KLEENE)
+        with pytest.raises(TypeError, match=message):
+            implies(0, value, CLASSICAL)
+        with pytest.raises(TypeError, match=message):
+            evaluate(Node(Leaf(1), Leaf(2)), (value, 2), KLEENE)
+
+    def test_illegal_int_keeps_its_semantics_text(self):
+        with pytest.raises(ValueError, match="^truth value 2 is not legal in classical semantics$"):
+            implies(2, 0, CLASSICAL)
+
 
 class TestSemantics:
     def test_from_radix(self):

@@ -208,7 +208,7 @@ class TestRealizer:
             Realizer("kleene", 1)
 
     def test_negative_power_rejected(self, kleene_realizer):
-        with pytest.raises(ValueError, match=r"^powers must be nonnegative, got -1$"):
+        with pytest.raises(ValueError, match=r"^k must be at least 0, got -1$"):
             kleene_realizer.power("t", -1)
 
     def test_order_must_be_an_int(self):
