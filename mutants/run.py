@@ -113,10 +113,11 @@ RUN_ALL_HEAD = """def run_all(
     A tamper triple applies to whichever logic owns the named series;
     the other logic runs clean.  A tamper that names no series of
     either logic, an index outside 0..order, a zero delta, or k_max
-    below 2 raises ValueError, and an index, delta or k_max that is not
-    an int raises TypeError, before anything is expanded.
+    below 2 raises ValueError, and an index, delta, seed or k_max that
+    is not an int raises TypeError, before anything is expanded.
     \"\"\"
     _check_tamper(tamper, KLEENE_SERIES + CLASSICAL_SERIES, order, "a series of either logic")
+    _check_int("seed", seed)
     _check_int("k_max", k_max, 2)
     reports: list[VerificationReport] = []
     for logic, names in SERIES.items():
@@ -133,6 +134,13 @@ INT_RULE = "tests/test_int_arguments.py"
 BOOL_ORDER = "tests/test_series.py::TestClosedForms::test_order_must_be_an_int"
 BOOL_POWER = "tests/test_monoid.py::TestRealizer::test_power_must_be_an_int"
 BOOL_TRUTH_VALUE = "tests/test_logic.py::TestImplies::test_truth_value_must_be_an_int"
+# The line of `series._radicals` that expands s by its binomial series, and
+# the tests that compare s with the binomial theorem and s*s with 1 - a*x.
+S_STEP = "coeffs.append(_divide(coeffs[-1] * a * (2 * n - 3), 2 * n))"
+S_TESTS = [
+    "tests/test_series.py::TestClosedForms::test_s_is_the_binomial_series_in_ints",
+    "tests/test_series.py::TestClosedForms::test_radicals_are_integral_to_order_300",
+]
 
 # name, file, exact old text, new text, tests that must fail.
 MUTANTS = [
@@ -279,6 +287,34 @@ _ROWS = [bytes(row).ljust(256, b"\\0") for row in _IMPLIES_TABLE]
         "acc = 2 * sum(map(mul, ys[1:half], ys[n - 1 : n - half : -1]))",
         "acc = 2 * sum(map(mul, ys[1:half], ys[n - 2 : n - half - 1 : -1]))",
         ["tests/test_series.py::TestSqrt"],
+    ),
+    (
+        "s ratio numerator off by two",
+        SERIES,
+        S_STEP,
+        S_STEP.replace("2 * n - 3", "2 * n - 1"),
+        S_TESTS,
+    ),
+    (
+        "s ratio divisor off by two",
+        SERIES,
+        S_STEP,
+        S_STEP.replace(", 2 * n)", ", 2 * n + 2)"),
+        S_TESTS,
+    ),
+    (
+        "s ratio without a",
+        SERIES,
+        S_STEP,
+        S_STEP.replace(" * a * ", " * "),
+        S_TESTS,
+    ),
+    (
+        "s built by the general square root again",
+        SERIES,
+        "    s = PowerSeries(coeffs)\n",
+        "    s = (PowerSeries.identity(order) - a * PowerSeries.x(order)).sqrt()\n",
+        ["tests/test_series.py::TestClosedForms::test_one_sqrt_per_logic_and_order"],
     ),
     (
         "_divide floors",
@@ -930,6 +966,48 @@ def main(argv: Sequence[str] | None = None) -> int:
         '        _check_int("tamper delta", delta)\n',
         "",
         [INT_RULE],
+    ),
+    (
+        "a constant series' order unchecked",
+        SERIES,
+        '        _check_int("order", order, 0)\n',
+        "",
+        [INT_RULE],
+    ),
+    (
+        "a coefficient index's type unchecked",
+        SERIES,
+        '        _check_int("n", n)\n',
+        "",
+        [INT_RULE],
+    ),
+    (
+        "a truncation order's type unchecked",
+        SERIES,
+        '        _check_int("order", order)\n',
+        "",
+        [INT_RULE],
+    ),
+    (
+        "a table row's type unchecked",
+        RECURRENCES,
+        '        _check_int("n", n)\n',
+        "",
+        [INT_RULE],
+    ),
+    (
+        "a sample seed's type unchecked",
+        MONOID,
+        '    _check_int("seed", seed)\n    names = ',
+        "    names = ",
+        [INT_RULE],
+    ),
+    (
+        "run_all leaving the seed to default_sample",
+        MONOID,
+        '    _check_int("seed", seed)\n    _check_int("k_max"',
+        '    _check_int("k_max"',
+        ["tests/test_monoid.py::TestRunAll::test_seed_rejected_before_any_expansion"],
     ),
 ]
 

@@ -285,8 +285,10 @@ class Realizer:
 def default_sample(logic: str, seed: int = 0) -> tuple[MonoidElement, ...]:
     """Every exponent vector of total degree <= SAMPLE_DEGREE_CAP (identity
     included), then SAMPLE_RANDOM_COUNT seeded random vectors with each
-    exponent <= SAMPLE_EXPONENT_CAP.  Deterministic for a given seed.
+    exponent <= SAMPLE_EXPONENT_CAP.  Deterministic for a given int seed;
+    any other seed raises TypeError, as no CLI call could reproduce it.
     """
+    _check_int("seed", seed)
     names = _generators(logic)
     width = len(names)
     elements = [
@@ -632,10 +634,11 @@ def run_all(
     A tamper triple applies to whichever logic owns the named series;
     the other logic runs clean.  A tamper that names no series of
     either logic, an index outside 0..order, a zero delta, or k_max
-    below 2 raises ValueError, and an index, delta or k_max that is not
-    an int raises TypeError, before anything is expanded.
+    below 2 raises ValueError, and an index, delta, seed or k_max that
+    is not an int raises TypeError, before anything is expanded.
     """
     _check_tamper(tamper, KLEENE_SERIES + CLASSICAL_SERIES, order, "a series of either logic")
+    _check_int("seed", seed)
     _check_int("k_max", k_max, 2)
     reports: list[VerificationReport] = []
     for logic, names in SERIES.items():

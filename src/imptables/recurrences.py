@@ -52,6 +52,7 @@ class SequenceTable(_Record):
         return self.columns[value]
 
     def row(self, n: int) -> dict[int, int]:
+        _check_int("n", n)
         if not 1 <= n <= self.n_max:
             raise ValueError(f"n must be in 1..{self.n_max}, got {n}")
         return {v: col[n - 1] for v, col in self.columns.items()}

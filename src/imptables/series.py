@@ -27,9 +27,12 @@ and with s2 = sqrt(1-8x), w2 = sqrt(2+2*s2+8x) the classical counts are
     s: (-1 - s2 + w2)/4     r: (3 - s2 - w2)/4     g2: (1 - s2)/2.
 
 Count series must expand to nonnegative integers (asserted at construction).
-The four radicals are integral too, and every division on the way (the square
-roots' 2*y0, the closed forms' 6, 4 and 2) is exact integer division whenever
-the quotient is whole, so building them forms no `Fraction` at all.
+The four radicals are integral too.  Each s = sqrt(1 - a*x) comes from its
+binomial series, term by term by the ratio s_n / s_(n-1) = a(2n - 3)/(2n),
+so s_n = -2 (a/4)^n C_(n-1) (C the Catalan numbers).  Each w comes from the
+coefficient recurrence of `PowerSeries.sqrt`.  Every division on the way
+(s's 2n, w's 2*y0, the closed forms' 6, 4 and 2) is exact integer division
+whenever the quotient is whole, so building them forms no `Fraction` at all.
 
 `fractions` is imported only when a value turns out non-integral, by
 `_fraction`: a call that forms only integers (every count series does)
@@ -117,6 +120,7 @@ class PowerSeries:
 
     @classmethod
     def constant(cls, value: Scalar, order: int) -> "PowerSeries":
+        _check_int("order", order, 0)
         return cls([value] + [0] * order)
 
     @classmethod
@@ -139,6 +143,7 @@ class PowerSeries:
 
     def coefficient(self, n: int) -> Scalar:
         """The x**n coefficient: `int` when integral, else `Fraction`; IndexError past N."""
+        _check_int("n", n)
         if not 0 <= n <= self.order:
             raise IndexError(
                 f"coefficient {n} requested but only orders 0..{self.order} are tracked"
@@ -146,6 +151,7 @@ class PowerSeries:
         return self.coeffs[n]
 
     def truncate(self, order: int) -> "PowerSeries":
+        _check_int("order", order)
         if not 0 <= order <= self.order:
             raise IndexError(
                 f"cannot truncate to order {order}; tracked orders are 0..{self.order}"
@@ -293,9 +299,15 @@ def _series_key(name: str) -> str:
 @functools.lru_cache(maxsize=8)
 def _radicals(logic: str, order: int) -> tuple[PowerSeries, PowerSeries]:
     a, b, c, d = _RADICALS[logic]
+    # s by its binomial series: 2n s_n = a (2n - 3) s_(n-1), and 2n divides
+    # the right side, as s_n = -2 (a/4)^n C_(n-1) is whole for a = 12 and 8.
+    # Only w needs the general square root.
+    coeffs = [1]
+    for n in range(1, order + 1):
+        coeffs.append(_divide(coeffs[-1] * a * (2 * n - 3), 2 * n))
+    s = PowerSeries(coeffs)
     one = PowerSeries.identity(order)
     x = PowerSeries.x(order)
-    s = (one - a * x).sqrt()
     w = (b * one + c * x + d * s).sqrt()
     return s, w
 

@@ -47,3 +47,16 @@ def test_main_prints_each_file_and_the_total(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in out] == ["8", "1", "9"]
     assert out[-1].split()[1] == "total"
+
+
+def test_no_path_is_a_usage_error(capsys):
+    assert code_lines.main([]) == 2
+    assert capsys.readouterr() == ("", f"{code_lines.USAGE}\nerror: no PATH given\n")
+
+
+def test_missing_path_is_a_usage_error(tmp_path, capsys):
+    (tmp_path / "a.py").write_text("x = 1\n")
+    missing = tmp_path / "missing.py"
+    assert code_lines.main([str(tmp_path), str(missing)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"{code_lines.USAGE}\nerror: no such file or directory: {missing}\n")

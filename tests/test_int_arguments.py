@@ -25,14 +25,16 @@ from imptables.logic import (
     implies,
     iter_valuations,
 )
-from imptables.monoid import Realizer, run_all, verify_power_identities
-from imptables.recurrences import counts_by_recurrence
+from imptables.monoid import Realizer, default_sample, run_all, verify_power_identities
+from imptables.recurrences import counts_by_recurrence, kleene_by_recurrence
 from imptables.series import PowerSeries, closed_form
 
 # label: (the name an error gives the argument, its floor or None, the call
 # that passes the value as that argument).  A floor is the least legal int;
 # the sites that check only the type keep their own range text, which
-# still names the argument below the floor listed here.
+# still names the argument below the floor listed here.  A floor of None
+# means no floor, or a range check of the site's own that raises something
+# other than ValueError (`coefficient` and `truncate` raise IndexError).
 SITES = {
     "catalan n": ("n", 1, catalan),
     "enumerate_bracketings n": ("n", 1, enumerate_bracketings),
@@ -46,8 +48,14 @@ SITES = {
     "evaluate truth value": ("truth value", 0, lambda v: evaluate(Node(Leaf(1), Leaf(2)), (1, v))),
     "closed_form order": ("order", 1, lambda v: closed_form("t", v)),
     "PowerSeries.x order": ("order", 1, PowerSeries.x),
+    "PowerSeries.constant order": ("order", 0, lambda v: PowerSeries.constant(1, v)),
+    "PowerSeries.identity order": ("order", 0, PowerSeries.identity),
+    "PowerSeries.zero order": ("order", 0, PowerSeries.zero),
+    "PowerSeries.coefficient n": ("n", None, lambda v: PowerSeries([1, 2, 3]).coefficient(v)),
+    "PowerSeries.truncate order": ("order", None, lambda v: PowerSeries([1, 2, 3]).truncate(v)),
     "PowerSeries ** exponent": ("exponent", 0, lambda v: PowerSeries([1, 2, 3]) ** v),
     "counts_by_recurrence n_max": ("n_max", 1, lambda v: counts_by_recurrence(v, KLEENE)),
+    "SequenceTable.row n": ("n", 1, lambda v: kleene_by_recurrence(3).row(v)),
     "Realizer order": ("order", 2, lambda v: Realizer("kleene", v)),
     "Realizer.power k": ("k", 0, lambda v: Realizer("kleene", 2).power("t", v)),
     "run_all k_max": ("k_max", 2, lambda v: run_all(order=2, k_max=v)),
@@ -56,6 +64,8 @@ SITES = {
     ),
     "run_all tamper index": ("tamper index", 0, lambda v: run_all(order=2, tamper=("t", v, 1))),
     "run_all tamper delta": ("tamper delta", None, lambda v: run_all(order=2, tamper=("t", 0, v))),
+    "run_all seed": ("seed", None, lambda v: run_all(order=2, seed=v)),
+    "default_sample seed": ("seed", None, lambda v: default_sample("kleene", seed=v)),
     "cli setting": ("--n", 1, lambda v: _setting("--n", v, floor=1)),
 }
 

@@ -758,6 +758,20 @@ class TestRunAll:
             run_all(order=20, k_max=1)
         assert calls == []
 
+    def test_seed_rejected_before_any_expansion(self, monkeypatch):
+        # Left to default_sample, the seed would be rejected only after
+        # the Kleene Realizer had expanded its series.
+        calls = []
+
+        def expand(name, order):
+            calls.append(name)
+            return closed_form(name, order)
+
+        monkeypatch.setattr("imptables.monoid.closed_form", expand)
+        with pytest.raises(TypeError, match="^seed must be an int, got 2.5$"):
+            run_all(order=20, seed=2.5)
+        assert calls == []
+
     def test_tamper_hits_only_owning_logic(self):
         reports = run_all(order=12, k_max=3, seed=0, tamper=("t", 3, 1))
         failed = [r for r in reports if not r.verified]

@@ -415,6 +415,28 @@ class TestClosedForms:
         assert (info.misses, info.hits) == (2, len(KLEENE_SERIES + CLASSICAL_SERIES) - 2)
         assert info.maxsize is not None and info.maxsize <= 8
 
+    @pytest.mark.parametrize("logic, a", [("kleene", 12), ("classical", 8)])
+    def test_s_is_the_binomial_series_in_ints(self, logic, a):
+        s, _ = _radicals(logic, 60)
+        for n in range(61):
+            assert s.coefficient(n) == binomial_sqrt_coefficient(n, -a)
+        assert all(type(c) is int for c in s.coeffs)
+
+    @pytest.mark.parametrize("logic", ["kleene", "classical"])
+    def test_one_sqrt_per_logic_and_order(self, monkeypatch, logic):
+        # s comes from its binomial series; only w takes a square root.
+        calls = []
+        sqrt = PowerSeries.sqrt
+
+        def counted(self):
+            calls.append(self.order)
+            return sqrt(self)
+
+        monkeypatch.setattr(PowerSeries, "sqrt", counted)
+        _radicals.cache_clear()
+        _radicals(logic, 40)
+        assert calls == [40]
+
     def test_self_similarity(self):
         # the total series satisfy G^2 = G - radix*x in both logics
         order = 40

@@ -10,7 +10,9 @@ line it covers unless it is a docstring.
 Usage: python3 tools/code_lines.py PATH...
 
 Each PATH is a file or a directory (searched for ``*.py``).  One line is
-printed per file, then the total.
+printed per file, then the total.  No PATH, or a PATH that does not
+exist, is a usage error: the usage line and the error go to stderr, and
+the exit status is 2.
 """
 
 import ast
@@ -30,6 +32,7 @@ _LAYOUT = {
 }
 # The nodes whose first statement may be a docstring.
 _SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+USAGE = "usage: python3 tools/code_lines.py PATH..."
 
 
 def docstring_lines(source: str) -> set[int]:
@@ -53,6 +56,11 @@ def code_lines(source: str) -> int:
 
 
 def main(paths: list[str]) -> int:
+    missing = [path for path in paths if not Path(path).exists()]
+    if not paths or missing:
+        error = f"no such file or directory: {missing[0]}" if missing else "no PATH given"
+        print(f"{USAGE}\nerror: {error}", file=sys.stderr)
+        return 2
     files = []
     for path in map(Path, paths):
         files += sorted(path.rglob("*.py")) if path.is_dir() else [path]
