@@ -1,33 +1,196 @@
-"""Mutation gate: every recorded mutant must be killed by the tests named for it.
+"""Mutation gate: every mutant of the package must be killed by the tests.
 
 Usage: python3 mutants/run.py
 
-Each entry of MUTANTS replaces one exact text in one file of the package
-(or of the tests) with a broken version.  The script first runs every
-distinct test selection once on an unmutated copy of `src/`, `tests/`,
-`pyproject.toml` and `README.md`; each must pass, or a failure under a
-mutant would prove nothing, and the gate fails without applying any
-mutant.  Then it copies the tree into a temporary directory per mutant,
-applies that one replacement, and runs the entry's tests there with
-pytest.  The gate fails when a mutant survives (its tests pass), when
-its tests cannot run (a collection error is not a kill), and when an old
-text no longer occurs exactly once, so an entry cannot rot silently when
-the code it targets changes.
+Two kinds of mutant are run:
+
+- Generated mutants, made from every module under `src/imptables/` by
+  six operators: a relational swap (`<` and `<=`, `>` and `>=`, `==` and
+  `!=`), `+` and `-`, `*` and `//`, an integer literal plus 1, a call
+  statement replaced by `pass`, and one operand dropped from an `and` or
+  `or`.  Each replaces one token or one node at its source position, so
+  the rest of the file stays byte for byte.  Its ID names the file, the
+  enclosing function, the operator and the replaced text (with a
+  ``[k]`` suffix for the k-th same text in that function), so an edit to
+  another function leaves the ID alone.  Nothing inside an f-string is
+  mutated: its node positions differ between Python releases.
+- Hand mutants (HAND), one per structural fault that no operator makes:
+  an exact text in a file, its broken replacement, and the tests that
+  must catch it.  The gate fails when an old text no longer occurs
+  exactly once, so an entry cannot rot when the code it targets changes.
+
+The script first runs every distinct test selection once on an unmutated
+copy of the tree; each must pass, or a failure under a mutant would
+prove nothing.  Then each mutant runs in its own copy, on
+`os.cpu_count()` workers.  A generated mutant runs its module's own test
+file (OWN_TESTS), then, if it survives that, the rest of the tests,
+stopping at the first failure; a hand mutant runs its own tests.  A run
+that outlasts ten times the unmutated time of the same selection is cut
+and counts as a kill.  For a generated mutant, pytest's exit 2 counts as
+a kill too, because the mutated package failed at import; for a hand
+mutant it is a failure of the gate (its tests did not run).
+
+`mutants/survivors.txt` lists the generated mutants accepted as
+survivors, one a line as ``ID  # reason``; they are not run.  The gate
+fails when a mutant survives that the file does not list, and when a
+line of the file names no generated mutant or gives no reason.
 
 pytest does not collect this directory (pyproject.toml's testpaths).
 """
 
 from __future__ import annotations
 
+import ast
+import io
 import os
+import resource
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
 import time
+import tokenize
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor, as_completed
+from itertools import accumulate
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = "src/imptables"
+SURVIVORS = ROOT / "mutants" / "survivors.txt"
+# The test file a module's generated mutants run first; the modules not
+# named here (cli, __main__ and the command modules) run the CLI tests.
+OWN_TESTS = {
+    "__init__.py": "tests/test_int_arguments.py",
+    "logic.py": "tests/test_logic.py",
+    "monoid.py": "tests/test_monoid.py",
+    "recurrences.py": "tests/test_recurrences.py",
+    "series.py": "tests/test_series.py",
+}
+CLI_TESTS = "tests/test_cli.py"
+# A run is cut after this many times the unmutated run of its selection.
+TIMEOUT_FACTOR = 10
+# The address space of each test run, so that a mutant that allocates
+# without end fails with MemoryError instead of exhausting the machine.
+MEMORY_LIMIT = 1 << 30
+
+# Each swapped operator: the token it is written as, and its replacement.
+SWAPS = {
+    ast.Lt: ("<", "<="),
+    ast.LtE: ("<=", "<"),
+    ast.Gt: (">", ">="),
+    ast.GtE: (">=", ">"),
+    ast.Eq: ("==", "!="),
+    ast.NotEq: ("!=", "=="),
+    ast.Add: ("+", "-"),
+    ast.Sub: ("-", "+"),
+    ast.Mult: ("*", "//"),
+    ast.FloorDiv: ("//", "*"),
+}
+# Operands that need parentheses where their `and`/`or` stood.
+LOOSE = (ast.BoolOp, ast.IfExp, ast.Lambda, ast.NamedExpr)
+
+
+class Mutant(NamedTuple):
+    """``new`` in place of the characters ``start:end`` of ``path``, run
+    against each test selection of ``stages`` until one kills it."""
+
+    id: str
+    path: str
+    start: int
+    end: int
+    new: str
+    stages: tuple[tuple[str, ...], ...]
+    generated: bool
+
+
+def generate(source: str, path: str) -> list[tuple[str, int, int, str]]:
+    """The operator mutants of one module as ``(id, start, end, new)``,
+    where ``new`` replaces ``source[start:end]``."""
+    lines = io.StringIO(source).readlines()
+    starts = list(accumulate(map(len, lines), initial=0))
+    operators = [
+        (starts[token.start[0] - 1] + token.start[1], token.string)
+        for token in tokenize.generate_tokens(io.StringIO(source).readline)
+        if token.type == tokenize.OP
+    ]
+    found: list[tuple[str, int, int, str]] = []
+
+    def offset(row: int, col: int) -> int:
+        # ast counts columns in UTF-8 bytes, str indexing in characters.
+        return starts[row - 1] + len(lines[row - 1].encode()[:col].decode())
+
+    def span(node: ast.AST) -> tuple[int, int]:
+        return offset(node.lineno, node.col_offset), offset(node.end_lineno, node.end_col_offset)
+
+    def segment(node: ast.AST) -> str:
+        return source[slice(*span(node))]
+
+    def add(scope: str, operator: str, context: ast.AST, start: int, end: int, new: str) -> None:
+        low = span(context)[0]
+        old = segment(context)
+        after = old[: start - low] + new + old[end - low :]
+        text = " ".join(f"{old} -> {after}".split())
+        found.append((f"{path}:{scope}:{operator}: {text}", start, end, new))
+
+    def swap(scope: str, operator: str, node: ast.AST, left: ast.AST, right: ast.AST, op: ast.AST):
+        old, new = SWAPS[type(op)]
+        low, high = span(left)[1], span(right)[0]
+        start = next(pos for pos, text in operators if low <= pos < high and text == old)
+        add(scope, operator, node, start, start + len(old), new)
+
+    def visit(node: ast.AST, scope: str, context: ast.AST | None) -> None:
+        if isinstance(node, ast.JoinedStr):
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = node.name if scope == "<module>" else f"{scope}.{node.name}"
+        if isinstance(node, ast.Compare):
+            for left, op, right in zip([node.left, *node.comparators], node.ops, node.comparators):
+                if type(op) in SWAPS:
+                    swap(scope, "relational", node, left, right, op)
+        elif isinstance(node, ast.BinOp) and type(node.op) in SWAPS:
+            swap(scope, "arithmetic", node, node.left, node.right, node.op)
+        elif isinstance(node, ast.Constant) and type(node.value) is int:
+            add(scope, "literal", context or node, *span(node), str(node.value + 1))
+        elif isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
+            add(scope, "call", node, *span(node), "pass")
+        elif isinstance(node, ast.BoolOp):
+            joiner = " and " if isinstance(node.op, ast.And) else " or "
+            for dropped in range(len(node.values)):
+                kept = [
+                    f"({segment(v)})" if isinstance(v, LOOSE) else segment(v)
+                    for i, v in enumerate(node.values)
+                    if i != dropped
+                ]
+                add(scope, "boolean", node, *span(node), joiner.join(kept))
+        if isinstance(node, ast.stmt):
+            context = None
+        elif isinstance(node, ast.expr):
+            context = node
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, context)
+
+    visit(ast.parse(source), "<module>", None)
+    seen: Counter[str] = Counter()
+    mutants = []
+    for id, start, end, new in found:
+        seen[id] += 1
+        mutants.append((id if seen[id] == 1 else f"{id} [{seen[id]}]", start, end, new))
+    return mutants
+
+
+def generated_mutants() -> list[Mutant]:
+    mutants = []
+    for file in sorted((ROOT / PACKAGE).rglob("*.py")):
+        name = file.relative_to(ROOT / PACKAGE).as_posix()
+        own = OWN_TESTS.get(name, CLI_TESTS)
+        stages = ((own,), ("tests", f"--ignore={own}"))
+        for id, start, end, new in generate(file.read_text(), name):
+            mutants.append(Mutant(id, f"{PACKAGE}/{name}", start, end, new, stages, True))
+    return mutants
+
 
 INIT = "src/imptables/__init__.py"
 LOGIC = "src/imptables/logic.py"
@@ -41,8 +204,7 @@ MONOID_COMMAND = "src/imptables/commands/monoid.py"
 COLORS_COMMAND = "src/imptables/commands/colors.py"
 SERIES_COMMAND = "src/imptables/commands/series.py"
 
-# Claim index ranges that two mutants each shift, and the tests that pin
-# both ends of a range.
+# Claim index ranges that two mutants each shift.
 COMMUTATIVITY_RANGE = """    every_n = range(realizer.order + 1)
     cases = (
         (realizer.product(a, b).coeffs, realizer.product(b, a).coeffs, every_n, {"a": a, "b": b})
@@ -52,20 +214,10 @@ ASSOCIATIVITY_RANGE = """    every_n = range(realizer.order + 1)
         (
             (realizer.product(a, b) * realizer.realize(c)).coeffs,
 """
-IDEAL_RANGE = """    above_one = range(2, realizer.order + 1)
-    elements = tuple(elements)
-"""
-SQUARE_RANGE = "        yield square, g, range(2, order + 1), {\n"
 POWER_RANGE = """    every_n = range(realizer.order + 1)
     f, g, u = realizer.series("f"), realizer.series("g"), realizer.series("u")
 """
-IDEAL_ENDS = "tests/test_monoid.py::TestIdealAndSubstitution::test_ideal_samples_checked_at_both_ends"
-SQUARE_ENDS = (
-    "tests/test_monoid.py::TestPartitions::test_square_checked_against_the_total_at_both_ends"
-)
-COLOR_ENDS = "tests/test_monoid.py::TestPartitions::test_color_classes_checked_at_both_ends"
 PARSER_TESTS = ["tests/test_parser.py"]
-TAMPER_ENDS = "tests/test_cli.py::TestMonoid::test_tamper_at_either_end_of_the_order"
 COLORS_BUDGET = (
     "tests/test_startup.py::TestSubcommandImports::test_colors_loads_series_only_within_its_budget"
 )
@@ -101,36 +253,16 @@ RECURRENCE_HEAD = """def counts_by_recurrence(n_max: int, sem: Semantics) -> Seq
     _check_int("n_max", n_max, 1)
     kernel = _kernel(sem)
 """
-# The head of `run_all`, up to its bound claim.
-RUN_ALL_HEAD = """def run_all(
-    order: int = DEFAULT_ORDER,
-    k_max: int = DEFAULT_K_MAX,
-    seed: int = DEFAULT_SEED,
-    tamper: Tamper | None = None,
-) -> list[VerificationReport]:
-    \"\"\"Run every verification suite for both logics and collect reports.
-
-    A tamper triple applies to whichever logic owns the named series;
-    the other logic runs clean.  A tamper that names no series of
-    either logic, an index outside 0..order, a zero delta, or k_max
-    below 2 raises ValueError, and an index, delta, seed or k_max that
-    is not an int raises TypeError, before anything is expanded.
-    \"\"\"
-    _check_tamper(tamper, KLEENE_SERIES + CLASSICAL_SERIES, order, "a series of either logic")
-    _check_int("seed", seed)
-    _check_int("k_max", k_max, 2)
-    reports: list[VerificationReport] = []
-    for logic, names in SERIES.items():
-        local_tamper = tamper if tamper is not None and tamper[0] in names else None
-        realizer = Realizer(logic, order, tamper=local_tamper)
-        samples = default_sample(logic, seed=seed)
-        nonidentity = [e for e in samples if not e.is_identity]
-        reports.append(verify_commutativity(realizer, _pairs(samples)))
-        reports.append(verify_associativity(realizer, _triples(samples)))
-        reports.append(verify_bound(realizer, nonidentity))
+# The end of `run_all`, from its bound claim on.
+RUN_ALL_TAIL = """        reports.append(verify_bound(realizer, nonidentity))
+        reports.append(verify_partitions(realizer))
+        if logic == "kleene":
+            reports.append(verify_power_identities(realizer, k_max))
+            reports.append(verify_ideal_samples(realizer, samples[:20]))
+            reports.append(verify_substitution_bounds(realizer))
+    return reports
 """
-# Tests that pass a value of the wrong type to the sites of `_check_int`.
-INT_RULE = "tests/test_int_arguments.py"
+# Tests that pass a bool to the sites of `_check_int`.
 BOOL_ORDER = "tests/test_series.py::TestClosedForms::test_order_must_be_an_int"
 BOOL_POWER = "tests/test_monoid.py::TestRealizer::test_power_must_be_an_int"
 BOOL_TRUTH_VALUE = "tests/test_logic.py::TestImplies::test_truth_value_must_be_an_int"
@@ -142,8 +274,9 @@ S_TESTS = [
     "tests/test_series.py::TestClosedForms::test_radicals_are_integral_to_order_300",
 ]
 
-# name, file, exact old text, new text, tests that must fail.
-MUTANTS = [
+# Structural faults that no operator makes: name, file, exact old text, new
+# text, tests that must fail.
+HAND = [
     (
         "kernel snapshotted at import",
         RECURRENCES,
@@ -324,13 +457,6 @@ _ROWS = [bytes(row).ljust(256, b"\\0") for row in _IMPLIES_TABLE]
         ["tests/test_series.py::TestArithmetic"],
     ),
     (
-        "closed_form without _assert_count_series",
-        SERIES,
-        "    _assert_count_series(series, key)\n",
-        "",
-        ["tests/test_golden.py::test_golden[consistency_series_t_bent_w]"],
-    ),
-    (
         "asymmetric series product",
         SERIES,
         "sum(map(mul, head, rb[n - m :])) for m in range(va + vb, n + 1)",
@@ -389,13 +515,6 @@ _ROWS = [bytes(row).ljust(256, b"\\0") for row in _IMPLIES_TABLE]
         ["tests/test_monoid.py::TestRealizer"],
     ),
     (
-        "_below_total without its integrality test",
-        MONOID,
-        "return c.denominator == 1 and 0 <= c < g",
-        "return 0 <= c < g",
-        ["tests/test_monoid.py::TestBound::test_fractional_coefficient_escapes_the_bound"],
-    ),
-    (
         "_dominated accepting equality where the right side is nonzero",
         MONOID,
         "return lhs < rhs or lhs == rhs == 0",
@@ -405,17 +524,9 @@ _ROWS = [bytes(row).ljust(256, b"\\0") for row in _IMPLIES_TABLE]
     (
         "run_all calling a claim through a private alias",
         MONOID,
-        RUN_ALL_HEAD,
-        "_verify_bound = verify_bound\n\n\n"
-        + RUN_ALL_HEAD.replace("append(verify_bound(", "append(_verify_bound("),
+        RUN_ALL_TAIL,
+        RUN_ALL_TAIL.replace("(verify_bound(", "(_verify_bound(") + "\n\n_verify_bound = verify_bound\n",
         ["tests/test_monoid.py::TestRunAll::test_calls_every_claim_through_the_module"],
-    ),
-    (
-        "tamper range closed below the order",
-        MONOID,
-        "        if not 0 <= index <= order:\n",
-        "        if not 0 <= index < order:\n",
-        ["tests/test_monoid.py::TestRunAll::test_tamper_at_either_end_of_the_range_is_applied"],
     ),
     (
         "commutativity without its top coefficient",
@@ -485,55 +596,23 @@ _ROWS = [bytes(row).ljust(256, b"\\0") for row in _IMPLIES_TABLE]
     (
         "ideal containment without its top coefficient",
         MONOID,
-        IDEAL_RANGE,
-        IDEAL_RANGE.replace("range(2, realizer.order + 1)", "range(2, realizer.order)"),
-        [IDEAL_ENDS],
-    ),
-    (
-        "ideal containment from n = 3",
-        MONOID,
-        IDEAL_RANGE,
-        IDEAL_RANGE.replace("range(2, realizer.order + 1)", "range(3, realizer.order + 1)"),
-        [IDEAL_ENDS],
-    ),
-    (
-        "substitution bounds from n = 3",
-        MONOID,
-        """    above_one = range(2, realizer.order + 1)
-    families = (
-""",
-        """    above_one = range(3, realizer.order + 1)
-    families = (
-""",
-        ["tests/test_monoid.py::TestIdealAndSubstitution::test_domination_checked_from_n_two"],
+        "    above_one = range(2, realizer.order + 1)\n    elements = tuple(elements)\n",
+        "    above_one = range(2, realizer.order)\n    elements = tuple(elements)\n",
+        ["tests/test_monoid.py::TestIdealAndSubstitution::test_ideal_samples_checked_at_both_ends"],
     ),
     (
         "g2^2 against g2 without its top coefficient",
         MONOID,
-        SQUARE_RANGE,
-        SQUARE_RANGE.replace("range(2, order + 1)", "range(2, order)"),
-        [SQUARE_ENDS],
-    ),
-    (
-        "g2^2 against g2 from n = 3",
-        MONOID,
-        SQUARE_RANGE,
-        SQUARE_RANGE.replace("range(2, order + 1)", "range(3, order + 1)"),
-        [SQUARE_ENDS],
+        "        yield square, g, range(2, order + 1), {\n",
+        "        yield square, g, range(2, order), {\n",
+        ["tests/test_monoid.py::TestPartitions::test_square_checked_against_the_total_at_both_ends"],
     ),
     (
         "color classes without the largest n",
         MONOID,
         "for n in range(2, color_n + 1):",
         "for n in range(2, color_n):",
-        [COLOR_ENDS],
-    ),
-    (
-        "color classes from n = 3",
-        MONOID,
-        "for n in range(2, color_n + 1):",
-        "for n in range(3, color_n + 1):",
-        [COLOR_ENDS],
+        ["tests/test_monoid.py::TestPartitions::test_color_classes_checked_at_both_ends"],
     ),
     (
         "power identities from n = 1",
@@ -599,13 +678,6 @@ _ROWS = [bytes(row).ljust(256, b"\\0") for row in _IMPLIES_TABLE]
         ["tests/test_monoid.py::TestPartitions::test_three_u_checked_against_the_total"],
     ),
     (
-        "run_all leaving k_max to the power identities",
-        MONOID,
-        '    _check_int("k_max", k_max, 2)\n    reports: list',
-        "    reports: list",
-        ["tests/test_monoid.py::TestRunAll::test_k_max_below_two_rejected_before_any_expansion"],
-    ),
-    (
         "element exponents not checked for a tuple of ints",
         MONOID,
         """        if not isinstance(exponents, tuple) or not set(map(type, exponents)) <= {int}:
@@ -622,33 +694,6 @@ _ROWS = [bytes(row).ljust(256, b"\\0") for row in _IMPLIES_TABLE]
         """        source = flag
 """,
         ["tests/test_cli.py::TestSettings"],
-    ),
-    (
-        "floor compared with <=",
-        INIT,
-        "    if floor is not None and value < floor:\n",
-        "    if floor is not None and value <= floor:\n",
-        [
-            "tests/test_cli.py::TestSettings::test_floor_is_accepted",
-            "tests/test_logic.py::TestBracketings::test_counts_match_catalan",
-        ],
-    ),
-    (
-        "brute leg dropped from agree",
-        VERIFY_COMMAND,
-        "agree = closed_row == recurrence and brute_row in (None, recurrence)",
-        "agree = closed_row == recurrence",
-        ["tests/test_cli.py::TestVerify::test_brute_force_leg_can_fail"],
-    ),
-    (
-        "closed-form leg dropped from agree",
-        VERIFY_COMMAND,
-        "agree = closed_row == recurrence and brute_row in (None, recurrence)",
-        "agree = brute_row in (None, recurrence)",
-        [
-            "tests/test_logic.py::TestBruteForceIndependence"
-            "::test_patched_table_changes_brute_force_and_fails_verify"
-        ],
     ),
     (
         "verify verdict always true",
@@ -694,20 +739,6 @@ _ROWS = [bytes(row).ljust(256, b"\\0") for row in _IMPLIES_TABLE]
         ["tests/test_cli.py::TestTable::test_builds_only_the_requested_tree"],
     ),
     (
-        "cli.main without its stdout flush",
-        CLI,
-        "        sys.stdout.flush()\n",
-        "",
-        ["tests/test_output_errors.py"],
-    ),
-    (
-        "cli.main without pointing stdout at the null device",
-        CLI,
-        "            _discard_stdout()\n",
-        "            pass\n",
-        ["tests/test_output_errors.py"],
-    ),
-    (
         "series imports fractions at module level",
         SERIES,
         "from operator import mul\n",
@@ -740,20 +771,6 @@ _ROWS = [bytes(row).ljust(256, b"\\0") for row in _IMPLIES_TABLE]
         PARSER_TESTS,
     ),
     (
-        "fast path accepting a repeated flag",
-        CLI,
-        "if len(names) != len(texts) or len(set(names)) != len(names):",
-        "if len(names) != len(texts):",
-        PARSER_TESTS,
-    ),
-    (
-        "fast path accepting a value that starts with a dash",
-        CLI,
-        'if keywords is None or text.startswith("-"):',
-        "if keywords is None:",
-        PARSER_TESTS,
-    ),
-    (
         "cli imports argparse at module level",
         CLI,
         "import contextlib\n",
@@ -769,34 +786,6 @@ _ROWS = [bytes(row).ljust(256, b"\\0") for row in _IMPLIES_TABLE]
         "import imptables\n",
         "import imptables\nimport imptables.series\n",
         ["tests/test_startup.py::TestSubcommandImports::test_table_loads_no_series"],
-    ),
-    (
-        "--tamper index 0 rejected",
-        MONOID_COMMAND,
-        "not 0 <= tamper[1] <= order",
-        "not 0 < tamper[1] <= order",
-        [TAMPER_ENDS],
-    ),
-    (
-        "--tamper index at the order rejected",
-        MONOID_COMMAND,
-        "not 0 <= tamper[1] <= order",
-        "not 0 <= tamper[1] < order",
-        [TAMPER_ENDS],
-    ),
-    (
-        "claim case count starting at 1",
-        MONOID,
-        "    count = 0\n",
-        "    count = 1\n",
-        ["tests/test_monoid.py::TestCommutativityAndAssociativity::test_no_pairs_is_zero_pairs"],
-    ),
-    (
-        "colors --n default 5",
-        COLORS_COMMAND,
-        "default=4, floor=2",
-        "default=5, floor=2",
-        ["tests/test_cli.py::TestColors::test_default_n_is_4"],
     ),
     (
         "--tamper index or delta that is not an integer reported as int()'s error",
@@ -819,25 +808,6 @@ _ROWS = [bytes(row).ljust(256, b"\\0") for row in _IMPLIES_TABLE]
         ["tests/test_series.py::TestClosedForms::test_constant_term_checked"],
     ),
     (
-        "a float radix accepted",
-        LOGIC,
-        "if type(radix) is not int or radix not in (2, 3):",
-        "if radix not in (2, 3):",
-        ["tests/test_logic.py::TestSemantics::test_from_radix_error_shows_the_type"],
-    ),
-    (
-        "a negative budget reported as a budget overrun",
-        LOGIC,
-        """    if budget is not None:
-        _check_int("budget", budget, 0)
-""",
-        "",
-        [
-            "tests/test_logic.py::TestBruteCounts::test_negative_budget_is_a_value_error",
-            "tests/test_logic.py::TestColorClasses::test_negative_budget_is_a_value_error",
-        ],
-    ),
-    (
         "series bfile lines tab-separated",
         SERIES_COMMAND,
         'lines = (f"{n} {v}" for n, v in enumerate(values, start=1))',
@@ -856,13 +826,6 @@ _ROWS = [bytes(row).ljust(256, b"\\0") for row in _IMPLIES_TABLE]
             "tests/test_startup.py::TestStartupLoadsNoSpareCode"
             "::test_each_call_loads_only_its_own_command_module"
         ],
-    ),
-    (
-        "entry without gc.freeze()",
-        CLI,
-        ENTRY_FREEZE,
-        "    sys.exit(main())\n",
-        ["tests/test_startup.py::TestGarbageCollection::test_entry_freezes_the_start_up_heap"],
     ),
     (
         "gc.freeze() moved into main",
@@ -925,161 +888,148 @@ def main(argv: Sequence[str] | None = None) -> int:
         "    if not isinstance(value, int):\n",
         [BOOL_ORDER, BOOL_POWER, BOOL_TRUTH_VALUE],
     ),
-    (
-        "a truth value's type unchecked",
-        LOGIC,
-        '    _check_int("truth value", v)\n',
-        "",
-        [BOOL_TRUTH_VALUE],
-    ),
-    (
-        "a tree index's type unchecked",
-        LOGIC,
-        '    _check_int("index", index)\n',
-        "",
-        [INT_RULE],
-    ),
-    (
-        "a valuation length's type unchecked",
-        LOGIC,
-        '    _check_int("n", n, 0)\n',
-        "",
-        [INT_RULE],
-    ),
-    (
-        "a series power's exponent unchecked",
-        SERIES,
-        '        _check_int("exponent", exponent, 0)\n',
-        "",
-        [INT_RULE],
-    ),
-    (
-        "a tamper index's type unchecked",
-        MONOID,
-        '        _check_int("tamper index", index)\n',
-        "",
-        [INT_RULE],
-    ),
-    (
-        "a tamper delta's type unchecked",
-        MONOID,
-        '        _check_int("tamper delta", delta)\n',
-        "",
-        [INT_RULE],
-    ),
-    (
-        "a constant series' order unchecked",
-        SERIES,
-        '        _check_int("order", order, 0)\n',
-        "",
-        [INT_RULE],
-    ),
-    (
-        "a coefficient index's type unchecked",
-        SERIES,
-        '        _check_int("n", n)\n',
-        "",
-        [INT_RULE],
-    ),
-    (
-        "a truncation order's type unchecked",
-        SERIES,
-        '        _check_int("order", order)\n',
-        "",
-        [INT_RULE],
-    ),
-    (
-        "a table row's type unchecked",
-        RECURRENCES,
-        '        _check_int("n", n)\n',
-        "",
-        [INT_RULE],
-    ),
-    (
-        "a sample seed's type unchecked",
-        MONOID,
-        '    _check_int("seed", seed)\n    names = ',
-        "    names = ",
-        [INT_RULE],
-    ),
-    (
-        "run_all leaving the seed to default_sample",
-        MONOID,
-        '    _check_int("seed", seed)\n    _check_int("k_max"',
-        '    _check_int("k_max"',
-        ["tests/test_monoid.py::TestRunAll::test_seed_rejected_before_any_expansion"],
-    ),
 ]
 
 
+
+def hand_mutants() -> tuple[list[Mutant], list[str]]:
+    """The HAND entries as mutants, and a complaint for each entry whose
+    old text does not occur exactly once."""
+    mutants, stale = [], []
+    for name, path, old, new, tests in HAND:
+        text = (ROOT / path).read_text()
+        if text.count(old) != 1:
+            stale.append(f"old text occurs {text.count(old)} times in {path}, not once: {name}")
+            continue
+        start = text.index(old)
+        mutants.append(Mutant(name, path, start, start + len(old), new, (tuple(tests),), False))
+    return mutants, stale
+
+
+def read_survivors() -> tuple[dict[str, str], list[str]]:
+    """The accepted survivors (ID to reason), and a complaint for each
+    line that gives no reason."""
+    survivors, bad = {}, []
+    for line in SURVIVORS.read_text().splitlines():
+        if line.strip() and not line.startswith("#"):
+            id, _, reason = line.partition("  # ")
+            survivors[id] = reason
+            if not reason.strip():
+                bad.append(f"survivor listed without a reason: {id}")
+    return survivors, bad
+
+
 def copy_tree(copy: Path) -> None:
-    """Copy the package, the tests, pyproject.toml and README.md (which
-    `tests/test_readme.py` runs) into ``copy``."""
-    for name in ("src", "tests"):
+    """Copy into ``copy`` what the tests read: the package, the tests,
+    the tools and this directory (which tests load by path),
+    pyproject.toml, and README.md (which `tests/test_readme.py` runs)."""
+    for name in ("src", "tests", "tools", "mutants"):
         shutil.copytree(ROOT / name, copy / name, ignore=shutil.ignore_patterns("__pycache__"))
     for name in ("pyproject.toml", "README.md"):
         shutil.copy(ROOT / name, copy / name)
 
 
-def run_tests(copy: Path, tests: list[str]) -> subprocess.CompletedProcess:
-    env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    return subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+def run_tests(copy: Path, selection: tuple[str, ...], timeout: float | None, cache: Path):
+    """pytest's exit status on ``selection`` in ``copy`` (None when cut
+    at ``timeout``), and the tail of its output.  Bytecode is cached
+    under ``cache``, shared by every run."""
+    env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONPYCACHEPREFIX": str(cache)}
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *selection]
+    with subprocess.Popen(
+        command,
         cwd=copy,
         env=env,
-        capture_output=True,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
         text=True,
-        timeout=600,
-    )
+        start_new_session=True,
+    ) as proc:
+        resource.prlimit(proc.pid, resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+        try:
+            out, _ = proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            # The whole process group: a test may have started the CLI.
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            return None, ""
+    return proc.returncode, "\n".join(out.splitlines()[-10:])
 
 
-def tail(proc: subprocess.CompletedProcess) -> str:
-    return "\n".join(proc.stdout.splitlines()[-5:] + proc.stderr.splitlines()[-5:])
+def run_mutant(mutant: Mutant, copy: Path, timeouts: dict, cache: Path) -> tuple[str, str]:
+    """The verdict on one mutant, run in ``copy`` ('killed', 'timeout' or
+    why it counts against the gate), and the output to show with it."""
+    copy_tree(copy)
+    target = copy / mutant.path
+    text = target.read_text()
+    target.write_text(text[: mutant.start] + mutant.new + text[mutant.end :])
+    try:
+        for selection in mutant.stages:
+            code, out = run_tests(copy, selection, timeouts[selection], cache)
+            if code is None:
+                return "timeout", ""
+            if code == 1 or (code == 2 and mutant.generated):
+                return "killed", ""
+            if code != 0:
+                return f"tests did not run (pytest exit {code})", out
+        return "SURVIVED", ""
+    finally:
+        shutil.rmtree(copy)
 
 
-def run_mutant(name: str, path: str, old: str, new: str, tests: list[str]) -> str:
-    """'killed', or why the mutant counts against the gate."""
-    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
-        copy = Path(tmp)
-        copy_tree(copy)
-        target = copy / path
-        text = target.read_text()
-        if text.count(old) != 1:
-            return f"old text occurs {text.count(old)} times in {path}, not once"
-        target.write_text(text.replace(old, new))
-        proc = run_tests(copy, tests)
-    if proc.returncode == 1:
-        return "killed"
-    if proc.returncode == 0:
-        return "SURVIVED"
-    return f"tests did not run (pytest exit {proc.returncode}):\n{tail(proc)}"
+def timed(function, *args) -> tuple:
+    start = time.perf_counter()
+    result = function(*args)
+    return (time.perf_counter() - start, *result)
 
 
 def main() -> int:
-    selections = list(dict.fromkeys(tuple(entry[4]) for entry in MUTANTS))
-    failing = 0
-    with tempfile.TemporaryDirectory(prefix="clean-") as tmp:
-        copy = Path(tmp)
-        copy_tree(copy)
-        for tests in selections:
-            proc = run_tests(copy, list(tests))
-            if proc.returncode != 0:
+    began = time.perf_counter()
+    generated = generated_mutants()
+    hand, problems = hand_mutants()
+    survivors, bad = read_survivors()
+    ids = {m.id for m in generated}
+    problems += bad + [f"survivor line names no generated mutant: {id}" for id in survivors if id not in ids]
+    mutants = [m for m in generated if m.id not in survivors] + hand
+    print(
+        f"{len(generated)} generated mutants, {len(generated) + len(hand) - len(mutants)} of them"
+        f" listed as survivors; {len(hand)} hand mutants; {os.cpu_count()} workers",
+        flush=True,
+    )
+    selections = list(dict.fromkeys(s for m in mutants for s in m.stages))
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp, ThreadPoolExecutor(os.cpu_count()) as pool:
+        base = Path(tmp)
+        copy_tree(base / "clean")
+        runs = pool.map(lambda s: timed(run_tests, base / "clean", s, None, base / "cache"), selections)
+        timeouts, failing = {}, 0
+        for selection, (seconds, code, out) in zip(selections, runs):
+            timeouts[selection] = TIMEOUT_FACTOR * seconds
+            if code != 0:
                 failing += 1
-                print(f"fails on the unmutated tree: {' '.join(tests)}\n{tail(proc)}")
-    if failing:
-        print(f"{failing} of {len(selections)} test selections fail unmutated; no mutant run")
-        return 1
-    print(f"all {len(selections)} test selections pass unmutated")
-    failed = 0
-    for entry in MUTANTS:
-        start = time.perf_counter()
-        verdict = run_mutant(*entry)
-        failed += verdict != "killed"
-        print(f"{verdict.splitlines()[0]:<10} {time.perf_counter() - start:5.1f} s  {entry[0]}")
-        for line in verdict.splitlines()[1:]:
-            print(line)
-    print(f"{failed} of {len(MUTANTS)} mutants not killed")
-    return 1 if failed else 0
+                print(f"fails on the unmutated tree: {' '.join(selection)}\n{out}", flush=True)
+        if failing:
+            print(f"{failing} of {len(selections)} test selections fail unmutated; no mutant run")
+            return 1
+        print(f"all {len(selections)} test selections pass unmutated", flush=True)
+        futures = {
+            pool.submit(timed, run_mutant, m, base / f"mutant-{i}", timeouts, base / "cache"): m
+            for i, m in enumerate(mutants)
+        }
+        verdicts = Counter()
+        for future in as_completed(futures):
+            seconds, verdict, out = future.result()
+            verdicts[verdict] += 1
+            if verdict not in ("killed", "timeout"):
+                problems.append(f"{verdict}: {futures[future].id}")
+            print(f"{verdict:<10} {seconds:6.1f} s  {futures[future].id}", flush=True)
+            if out:
+                print(out, flush=True)
+    print("\n".join(problems))
+    print(
+        f"{verdicts['killed']} killed, {verdicts['timeout']} cut at their timeout,"
+        f" {len(problems)} problems; {time.perf_counter() - began:.0f} s wall"
+    )
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

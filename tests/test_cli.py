@@ -59,6 +59,11 @@ class TestSeries:
         assert payload["coefficients"] == [1, 5, 30, 229, 1938]
         assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == out
 
+    def test_default_n_is_10(self, capsys):
+        code, out, _ = run(capsys, "series", "t")
+        assert code == 0
+        assert out == "1 5 30 229 1938 17530 165852 1621133 16242474 165923854\n"
+
     def test_unknown_name_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["series", "q", "--n", "3"])

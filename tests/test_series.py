@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -108,6 +109,11 @@ class TestConstruction:
         assert PowerSeries.zero(2).coeffs == (0, 0, 0)
         assert PowerSeries.x(3).coeffs == (0, 1, 0, 0)
         assert PowerSeries.constant(7, 2).coeffs == (7, 0, 0)
+
+    def test_builders_at_order_zero(self):
+        assert PowerSeries.constant(7, 0).coeffs == (7,)
+        assert PowerSeries.identity(0).coeffs == (1,)
+        assert PowerSeries.zero(0).coeffs == (0,)
 
     def test_coefficient_beyond_order_is_an_error(self):
         s = PowerSeries([1, 2])
@@ -296,6 +302,9 @@ class TestSqrt:
             PowerSeries([-1, 1]).sqrt()
         with pytest.raises(ValueError):
             PowerSeries([0, 1]).sqrt()
+        # A square numerator over a denominator that is not a square.
+        with pytest.raises(ValueError, match="^1/2 is not the square of a rational$"):
+            PowerSeries([Fraction(1, 2), 1]).sqrt()
 
     def test_non_integral_root_stays_exact(self):
         root = PowerSeries([1, 1]).sqrt()
@@ -361,6 +370,14 @@ class TestClosedForms:
             closed_form("t", 3)
         assert main(["series", "t"]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_negative_coefficient_checked(self, monkeypatch):
+        # The row of -t: every coefficient an integer, the first nonzero -1.
+        row = series_module._COUNT_SERIES["t"]
+        monkeypatch.setitem(series_module._COUNT_SERIES, "t", (*row[:3], (-4, 1, 1, 6)))
+        message = "count series 't' has coefficient -1 at x^1; counts must be nonnegative integers"
+        with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
+            closed_form("t", 3)
 
     def test_g_is_three_u(self):
         order = 50
