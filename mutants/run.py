@@ -61,9 +61,12 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = "src/imptables"
 SURVIVORS = ROOT / "mutants" / "survivors.txt"
 # The test file a module's generated mutants run first; the modules not
-# named here (cli, __main__ and the command modules) run the CLI tests.
+# named here (__main__ and the command modules) run the CLI tests.  `cli`
+# runs the parser tests, which are quicker than the CLI tests and catch
+# most of its mutants; the rest of the suite follows either way.
 OWN_TESTS = {
     "__init__.py": "tests/test_int_arguments.py",
+    "cli.py": "tests/test_parser.py",
     "logic.py": "tests/test_logic.py",
     "monoid.py": "tests/test_monoid.py",
     "recurrences.py": "tests/test_recurrences.py",
@@ -447,6 +450,13 @@ _ROWS = [bytes(row).ljust(256, b"\\0") for row in _IMPLIES_TABLE]
         SERIES,
         "    s = PowerSeries(coeffs)\n",
         "    s = (PowerSeries.identity(order) - a * PowerSeries.x(order)).sqrt()\n",
+        ["tests/test_series.py::TestClosedForms::test_one_sqrt_per_logic_and_order"],
+    ),
+    (
+        "w built by the general square root again",
+        SERIES,
+        "    w = PowerSeries(ws)\n",
+        "    w = (b * PowerSeries.identity(order) + c * PowerSeries.x(order) + d * s).sqrt()\n",
         ["tests/test_series.py::TestClosedForms::test_one_sqrt_per_logic_and_order"],
     ),
     (
@@ -849,6 +859,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         "from ..cli import Result, _render, _setting\n",
         "from ..cli import Result, _render, _setting\nfrom ..series import closed_form\n",
         [COLORS_BUDGET],
+    ),
+    (
+        "route 2's failed halving not mapped to exit 1",
+        CLI,
+        """    except ArithmeticError as exc:
+        # The recurrence's halving check failed: a counterexample, as below.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+""",
+        "",
+        ["tests/test_cli.py::TestExitCodeClauses::test_recurrence_halving_failure_is_exit_1"],
     ),
     (
         "consistency clause before the budget clause",

@@ -28,11 +28,13 @@ its text.  A json result is one chunk, `json.dumps` of the payload.
 A subcommand finishes everything that can fail, its exit code included,
 before it returns, so the chunks only format what is already computed.
 
-Exit codes: 0 success or verified, 1 counterexample found (including
-a closed form that expands to a non-integral or negative count: one
-error line, nothing on stdout), 2 usage error, 3 budget exceeded (brute
-force beyond its budget, or a table of more than
-`commands.table.TABLE_ROW_LIMIT` rows).
+Exit codes: 0 success or verified, 1 counterexample found, 2 usage
+error, 3 budget exceeded (brute force beyond its budget, or a table of
+more than `commands.table.TABLE_ROW_LIMIT` rows).  A route that fails
+its own check is a counterexample too: a closed form that expands to a
+non-integral or negative count (`ConsistencyError`), or a recurrence
+step whose halving is not exact (`ArithmeticError`; `main` maps every
+`ArithmeticError` so).  It exits 1 with one error line, nothing on stdout.
 Exit 2 is any ValueError: this module raises plain ValueError for its
 own usage errors (a setting below its floor, an environment value that
 is not an integer, a bad --tamper, an --output path that cannot be
@@ -286,6 +288,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             _discard_stdout()
         print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        # The recurrence's halving check failed: a counterexample, as below.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     # These two are named through the package's lazy export, and last: each
     # expression is evaluated (and its module loaded) only for an exception
     # that no clause above caught.  The budget clause comes first: only

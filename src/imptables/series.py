@@ -29,9 +29,21 @@ and with s2 = sqrt(1-8x), w2 = sqrt(2+2*s2+8x) the classical counts are
 Count series must expand to nonnegative integers (asserted at construction).
 The four radicals are integral too.  Each s = sqrt(1 - a*x) comes from its
 binomial series, term by term by the ratio s_n / s_(n-1) = a(2n - 3)/(2n),
-so s_n = -2 (a/4)^n C_(n-1) (C the Catalan numbers).  Each w comes from the
-coefficient recurrence of `PowerSeries.sqrt`.  Every division on the way
-(s's 2n, w's 2*y0, the closed forms' 6, 4 and 2) is exact integer division
+so s_n = -2 (a/4)^n C_(n-1) (C the Catalan numbers).  Each w takes a seed
+square root, `PowerSeries.sqrt` to order r only, for its first r + 1 terms,
+and then its P-recurrence (`_W_RECURRENCE`): sum_{i=0..r} p_i(n) w_(n-i) = 0
+for n > r, with cubic p_i and r = 3 (Kleene) or 2 (classical), so each term
+costs r small-by-big products.  w is algebraic, hence D-finite: w' lies in
+the Q(x)-span of w and s*w, as does w''.  The rows are the one-dimensional
+null space of that linear system in their unknown coefficients over w's
+first 80 terms, and they hold for every n: with theta = x d/dx, the operator
+sum_i x^i p_i(theta + i) applied to w reduces to exactly 0, each
+(alpha + beta*s) w kept as a pair of rational functions and differentiated
+through w' = (R0 + R1*s) w.  p_0(n) is -n(n-1)(28n-83) (Kleene) and
+-n(2n-1)(n-2) (classical), nonzero for n > r.  The rows come from w's
+definition alone, and w enters only t, f, r and s, which route 2 and brute
+force check term by term.  Every division on the way (s's 2n, the seed's
+2*y0, w's p_0(n), the closed forms' 6, 4 and 2) is exact integer division
 whenever the quotient is whole, so building them forms no `Fraction` at all.
 
 `fractions` is imported only when a value turns out non-integral, by
@@ -261,6 +273,17 @@ class PowerSeries:
 # The radicals of each logic, s = sqrt(1 - a*x) and w = sqrt(b + c*x + d*s),
 # as (a, b, c, d).
 _RADICALS = {"kleene": (12, 5, 24, 4), "classical": (8, 2, 8, 2)}
+# w's P-recurrence, sum_{i=0..r} p_i(n) w_(n-i) = 0 for n > r: the rows
+# p_0 .. p_r, each p_i(n) = c0 + c1*n + c2*n^2 + c3*n^3 as (c0, c1, c2, c3).
+_W_RECURRENCE = {
+    "kleene": (
+        (0, -83, 111, -28),
+        (4410, -8910, 5508, -1008),
+        (-172200, 228544, -99840, 14336),
+        (-443520, 500352, -182016, 21504),
+    ),
+    "classical": ((0, -2, 5, -2), (-30, 72, -56, 14), (-80, 152, -88, 16)),
+}
 
 # One row per count series: its logic, the truth value whose entries it
 # counts (None for the total), its description, and (c, cs, cw, d) for its
@@ -301,14 +324,23 @@ def _radicals(logic: str, order: int) -> tuple[PowerSeries, PowerSeries]:
     a, b, c, d = _RADICALS[logic]
     # s by its binomial series: 2n s_n = a (2n - 3) s_(n-1), and 2n divides
     # the right side, as s_n = -2 (a/4)^n C_(n-1) is whole for a = 12 and 8.
-    # Only w needs the general square root.
     coeffs = [1]
     for n in range(1, order + 1):
         coeffs.append(_divide(coeffs[-1] * a * (2 * n - 3), 2 * n))
     s = PowerSeries(coeffs)
-    one = PowerSeries.identity(order)
-    x = PowerSeries.x(order)
-    w = (b * one + c * x + d * s).sqrt()
+    # w's first r + 1 terms by the general square root, the rest by its
+    # P-recurrence: p_0(n) w_n = -sum_{i=1..r} p_i(n) w_(n-i), and p_0(n)
+    # divides the right side, as w is whole and p_0(n) != 0 for n > r.
+    rows = _W_RECURRENCE[logic]
+    r = len(rows) - 1
+    seed = min(r, order)
+    one = PowerSeries.identity(seed)
+    x = PowerSeries.x(seed)
+    ws = list((b * one + c * x + d * s.truncate(seed)).sqrt().coeffs)
+    for n in range(len(ws), order + 1):
+        p = [c0 + n * (c1 + n * (c2 + n * c3)) for c0, c1, c2, c3 in rows]
+        ws.append(_divide(-sum(map(mul, p[1:], ws[: n - r - 1 : -1])), p[0]))
+    w = PowerSeries(ws)
     return s, w
 
 

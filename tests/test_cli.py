@@ -9,6 +9,7 @@ import pytest
 
 import imptables
 import imptables.logic as logic
+import imptables.recurrences as recurrences
 from imptables.cli import main
 from imptables.logic import (
     CountVector,
@@ -729,8 +730,9 @@ class TestSettings:
 
 
 class TestExitCodeClauses:
-    """`main` maps ValueError to exit 2, ConsistencyError to 1, OSError to 2
-    and, last, BudgetError to 3; any other exception is not its business."""
+    """`main` maps ValueError to exit 2, OSError to 2, ArithmeticError to 1
+    and, last, BudgetError to 3 and ConsistencyError to 1; any other
+    exception is not its business."""
 
     def test_other_exception_propagates_unchanged(self, monkeypatch):
         error = RuntimeError("no exit code for this")
@@ -742,6 +744,19 @@ class TestExitCodeClauses:
         with pytest.raises(RuntimeError) as raised:
             main(["series", "t", "--n", "3"])
         assert raised.value is error
+
+    def test_recurrence_halving_failure_is_exit_1(self, monkeypatch, capsys):
+        # The first square one too high: twice f at n = 2 is odd.
+        square, calls = recurrences._square, []
+
+        def odd_once(col):
+            calls.append(col)
+            return square(col) + (len(calls) == 1)
+
+        monkeypatch.setattr(recurrences, "_square", odd_once)
+        code, out, err = run(capsys, "verify", "--n", "3", "--budget", "0")
+        assert (code, out) == (1, "")
+        assert err == "error: twice the count of value 0 at n = 2 is odd\n"
 
     def test_budget_error_is_exit_3(self, capsys):
         code, out, err = run(capsys, "table", "--n", "13")

@@ -199,14 +199,24 @@ class TestLargeN:
             assert table.column(value) == closed_form(name, 120).coeffs[1:], name
         assert table.totals == closed_form(total, 120).coeffs[1:]
 
-    @pytest.mark.parametrize(
+    # Each logic with the count series of each of its values.
+    value_series = pytest.mark.parametrize(
         "sem, names", [(KLEENE, {"t": 1, "f": 0, "u": 2}), (CLASSICAL, {"r": 1, "s": 0})],
         ids=["kleene", "classical"],
     )
+
+    @value_series
     def test_columns_match_the_closed_forms_to_300(self, sem, names):
         table = counts_by_recurrence(300, sem)
         for name, value in names.items():
             assert table.column(value) == closed_form(name, 300).coeffs[1:], name
+
+    @value_series
+    def test_columns_match_the_closed_forms_to_500(self, sem, names):
+        # Past a few terms, w comes from its P-recurrence, not a square root.
+        table = counts_by_recurrence(500, sem)
+        for name, value in names.items():
+            assert table.column(value) == closed_form(name, 500).coeffs[1:], name
 
 
 class TestBruteForceBeyondTheDefaultBudgets:

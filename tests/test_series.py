@@ -440,8 +440,17 @@ class TestClosedForms:
         assert all(type(c) is int for c in s.coeffs)
 
     @pytest.mark.parametrize("logic", ["kleene", "classical"])
+    def test_w_recurrence_matches_the_square_root_to_order_400(self, logic):
+        a, b, c, d = series_module._RADICALS[logic]
+        s, w = _radicals(logic, 400)
+        one, x = PowerSeries.identity(400), PowerSeries.x(400)
+        assert w.coeffs == (b * one + c * x + d * s).sqrt().coeffs
+        assert all(type(c) is int for c in w.coeffs)
+
+    @pytest.mark.parametrize("logic", ["kleene", "classical"])
     def test_one_sqrt_per_logic_and_order(self, monkeypatch, logic):
-        # s comes from its binomial series; only w takes a square root.
+        # s comes from its binomial series and w past its first r + 1 terms
+        # from its P-recurrence: one square root, of order at most r.
         calls = []
         sqrt = PowerSeries.sqrt
 
@@ -452,7 +461,8 @@ class TestClosedForms:
         monkeypatch.setattr(PowerSeries, "sqrt", counted)
         _radicals.cache_clear()
         _radicals(logic, 40)
-        assert calls == [40]
+        r = len(series_module._W_RECURRENCE[logic]) - 1
+        assert len(calls) == 1 and calls[0] <= r
 
     def test_self_similarity(self):
         # the total series satisfy G^2 = G - radix*x in both logics
