@@ -351,10 +351,18 @@ def _check(
     labelled ``claim[logic]`` at the realizer's order.  `context` and
     `failed` template the witness context and the failure detail; `passed`
     is the detail when every case holds ("{count}" is the number of cases).
+
+    Under `eq` a case first compares its two sides whole (``lhs == rhs``,
+    one call into C) and walks its indices only when they differ, so the
+    witness is the same.  A color class's dict never equals a series'
+    coefficients, so those cases are always walked.  The other relations
+    walk every case: a prescan of them costs more than it saves.
     """
     claim, order = f"{claim}[{realizer.logic}]", realizer.order
     count = 0
     for count, (lhs, rhs, ns, fields) in enumerate(cases, 1):
+        if holds is eq and lhs == rhs:
+            continue
         for n in ns:
             if not holds(lhs[n], rhs[n]):
                 witness = Witness(n, lhs[n], rhs[n], context.format(n=n, **fields))

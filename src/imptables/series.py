@@ -1,13 +1,19 @@
 """Truncated formal power series over exact rationals.
 
 Coefficients are `int` when integral, else `Fraction`; nothing ever
-rounds.  A series carries its truncation order explicitly, and every
-binary operation truncates to the smaller participating order rather
-than padding, so precision loss is always visible in the result's order.
+rounds.  Every series goes through the one constructor, which checks
+all its coefficients' types in one pass (`set(map(type, ...))`) and
+normalises them one by one only when some coefficient is not a plain
+`int`, so an all-`int` series costs no Python call per coefficient.  A
+series carries its truncation order explicitly, and every binary
+operation truncates to the smaller participating order rather than
+padding, so precision loss is always visible in the result's order.
 A product forms only the coefficient products above both factors'
 valuations (the index of each one's first nonzero coefficient): the
 count series have no constant term, so t^i f^j u^k starts at x^(i+j+k)
-and the zeros below it cost nothing.
+and the zeros below it cost nothing.  When the valuations add up past
+the order, the product is the zero series, returned at once; most of
+the monoid claims' products at low orders are.
 
 The module is the one place that says which truth value each count
 series counts (`SERIES_VALUES`): t, f, u count the entries of value 1
@@ -125,7 +131,9 @@ class PowerSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar]):
-        cs = tuple(map(_exact, coeffs))
+        cs = tuple(coeffs)
+        if not set(map(type, cs)) <= {int}:
+            cs = tuple(map(_exact, cs))
         if not cs:
             raise ValueError("a series needs at least its constant coefficient")
         object.__setattr__(self, "coeffs", cs)
@@ -212,17 +220,20 @@ class PowerSeries:
         coefficients within 0..n, the first va + vb coefficients are 0
         and the x**m one sums a_k b_{m-k} for va <= k <= m - vb only: a
         product forms no coefficient product below either valuation.
+        b is scanned only up to n - va, and when va + vb > n the product
+        is the zero series, with no coefficient product formed.
         """
         if not isinstance(other, PowerSeries):
             return self.scale(other) if _is_scalar(other) else NotImplemented
-        n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
-        va, vb = _valuation(a, n), _valuation(b, n)
+        n = min(len(a), len(b)) - 1
+        va = _valuation(a, n)
+        vb = _valuation(b, n - va)
+        v = va + vb
+        if v > n:
+            return PowerSeries((0,) * (n + 1))
         head, rb = a[va:], b[vb : n - va + 1][::-1]
-        zeros = [0] * min(va + vb, n + 1)
-        return PowerSeries(
-            zeros + [sum(map(mul, head, rb[n - m :])) for m in range(va + vb, n + 1)]
-        )
+        return PowerSeries([0] * v + [sum(map(mul, head, rb[n - m :])) for m in range(v, n + 1)])
 
     # A scalar on the left scales, as on the right; two series never get here.
     __rmul__ = __mul__

@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction
+from operator import eq
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,8 @@ from imptables.monoid import (
     MonoidElement,
     Realizer,
     Witness,
+    _check,
+    _dominated,
     default_sample,
     run_all,
     verify_associativity,
@@ -640,6 +643,49 @@ class TestIdealAndSubstitution:
     def test_substitution_requires_kleene(self, classical_realizer):
         with pytest.raises(ValueError):
             verify_substitution_bounds(classical_realizer)
+
+
+class CountedReads(tuple):
+    """A coefficient tuple that counts the coefficients read one by one."""
+
+    reads = 0
+
+    def __getitem__(self, n):
+        self.reads += 1
+        return super().__getitem__(n)
+
+
+def run_check(*cases, holds=eq):
+    """`_check` over ``cases`` at order 3, each witness context "at {n}"."""
+    realizer = FixedRealizer(PowerSeries([0] * 4))
+    return _check(realizer, "claim", cases, "at {n}", "failed", "passed", holds)
+
+
+class TestCheck:
+    def test_eq_case_differing_only_at_its_last_index(self):
+        same, last = (0, 1, 2, 3), (0, 1, 2, 4)
+        report = run_check((same, same, range(4), {}), (same, last, range(4), {}))
+        assert report.summary_line() == (
+            "FAIL claim[kleene] (order 3): failed; first failure at n=3: 3 vs 4 [at 3]"
+        )
+
+    def test_equal_eq_case_reads_no_coefficient(self):
+        lhs = CountedReads((0, 1, 2, 3))
+        assert run_check((lhs, (0, 1, 2, 3), range(4), {})).verified
+        assert lhs.reads == 0
+
+    def test_other_relations_walk_equal_sides(self):
+        # Equal sides hold under eq but not under domination, whose
+        # first index holds (0 == 0 == 0) and second does not.
+        same = (0, 1, 2, 3)
+        report = run_check((same, same, range(4), {}), holds=_dominated)
+        assert report.witness == Witness(1, 1, 1, "at 1")
+
+    def test_dict_side_checked_index_by_index(self):
+        # A color-class case: a dict of the checked index against a tuple.
+        assert run_check(({3: 5}, (0, 0, 0, 5), (3,), {})).verified
+        report = run_check(({3: 6}, (0, 0, 0, 5), (3,), {}))
+        assert report.witness == Witness(3, 6, 5, "at 3")
 
 
 class TestSampling:

@@ -77,6 +77,19 @@ def assert_normal_form(series):
         assert type(c) is (int if Fraction(c).denominator == 1 else Fraction)
 
 
+@pytest.fixture
+def formed(monkeypatch):
+    """The (x, y) of every coefficient product `PowerSeries.__mul__` forms."""
+    formed = []
+
+    def counted_mul(x, y):
+        formed.append((x, y))
+        return x * y
+
+    monkeypatch.setattr(series_module, "mul", counted_mul)
+    return formed
+
+
 def binomial_sqrt_coefficient(n, scale):
     """[x^n] of (1 + scale*x)^(1/2) via the generalized binomial theorem."""
     half = Fraction(1, 2)
@@ -104,6 +117,40 @@ class TestConstruction:
         with pytest.raises(TypeError, match=f"^coefficients must be int or Fraction, got {shown}$"):
             PowerSeries([1, value])
 
+    @pytest.mark.parametrize("position", [0, -1], ids=["first", "last"])
+    @pytest.mark.parametrize(
+        "value, shown", [(0.1, "0.1"), ("a", "'a'"), (True, "True")], ids=["float", "str", "bool"]
+    )
+    def test_a_bad_coefficient_is_caught_in_any_position(self, position, value, shown):
+        coeffs = [1, 2, 3]
+        coeffs[position] = value
+        with pytest.raises(TypeError, match=f"^coefficients must be int or Fraction, got {shown}$"):
+            PowerSeries(coeffs)
+
+    @pytest.mark.parametrize("position", [0, -1], ids=["first", "last"])
+    def test_an_integral_fraction_becomes_an_int_in_any_position(self, position):
+        coeffs = [1, 2, 3]
+        coeffs[position] = Fraction(4, 2)
+        series = PowerSeries(coeffs)
+        assert series.coeffs[position] == 2
+        assert type(series.coeffs[position]) is int
+
+    def test_plain_int_coefficients_are_checked_in_one_pass(self, monkeypatch):
+        # Only a series with a coefficient that is not a plain int takes
+        # the per-coefficient `_exact` call, and then for every coefficient.
+        seen, plain_exact = [], series_module._exact
+
+        def counted_exact(c):
+            seen.append(c)
+            return plain_exact(c)
+
+        monkeypatch.setattr(series_module, "_exact", counted_exact)
+        assert PowerSeries(range(5)).coeffs == (0, 1, 2, 3, 4)
+        assert PowerSeries.zero(3).coeffs == (0, 0, 0, 0)
+        assert seen == []
+        assert PowerSeries([1, Fraction(1, 2), 3]).coeffs == (1, Fraction(1, 2), 3)
+        assert seen == [1, Fraction(1, 2), 3]
+
     def test_builders(self):
         assert PowerSeries.identity(3).coeffs == (1, 0, 0, 0)
         assert PowerSeries.zero(2).coeffs == (0, 0, 0)
@@ -125,6 +172,7 @@ class TestConstruction:
     def test_truncate(self):
         s = PowerSeries([1, 2, 3, 4])
         assert s.truncate(1).coeffs == (1, 2)
+        assert s.truncate(0).coeffs == (1,)
         with pytest.raises(IndexError):
             s.truncate(9)
 
@@ -135,133 +183,6 @@ class TestConstruction:
         assert repr(closed_form("t", 8)) == (
             "PowerSeries([0, 1, 5, 30, 229, 1938, 17530, 165852, ...], order=8)"
         )
-
-
-class TestArithmetic:
-    def test_add_truncates_to_min_order(self):
-        a = PowerSeries([1, 1, 1, 1])
-        b = PowerSeries([1, 2])
-        assert (a + b).coeffs == (2, 3)
-        assert (a - b).coeffs == (0, -1)
-
-    def test_identity_laws(self):
-        a = PowerSeries([3, 1, 4, 1, 5])
-        one = PowerSeries.identity(4)
-        zero = PowerSeries.zero(4)
-        assert a + zero == a
-        assert one * a == a
-        assert a * one == a
-
-    def test_scale_and_shift(self):
-        a = PowerSeries([1, 2, 3])
-        assert a.scale(3).coeffs == (3, 6, 9)
-        assert (2 * a).coeffs == (2, 4, 6)
-        assert (a / 2).coeffs == (Fraction(1, 2), 1, Fraction(3, 2))
-        assert a.shift().coeffs == (0, 1, 2)
-        assert PowerSeries.identity(3).shift().coeffs == (0, 1, 0, 0)
-
-    def test_mul_oracle_values(self):
-        r = closed_form("r", 4)
-        assert (r * r).coefficient(4) == 33
-        t = closed_form("t", 2)
-        f = closed_form("f", 2)
-        assert (t * f).coefficient(2) == 1
-
-    def test_pow(self):
-        x = PowerSeries.x(5)
-        assert (x**3).coeffs == (0, 0, 0, 1, 0, 0)
-        a = PowerSeries([1, 1, 0, 0])
-        assert (a**2).coeffs == (1, 2, 1, 0)
-        assert (a**0) == PowerSeries.identity(3)
-        with pytest.raises(ValueError):
-            a ** (-1)
-
-    @given(series_strategy(), series_strategy())
-    def test_mul_commutes(self, a, b):
-        assert a * b == b * a
-
-    @given(series_strategy(5), series_strategy(5), series_strategy(5))
-    def test_mul_associates(self, a, b, c):
-        n = min(a.order, b.order, c.order)
-        assert ((a * b) * c).truncate(n) == (a * (b * c)).truncate(n)
-
-    @given(mixed_coefficients, mixed_coefficients)
-    def test_mul_matches_fraction_reference(self, a, b):
-        product = PowerSeries(a) * PowerSeries(b)
-        assert product.coeffs == tuple(fraction_product(a, b))
-        assert_normal_form(product)
-
-    @given(padded_factors())
-    @example([[0, Fraction(0), 0], [Fraction(1, 2), -3, 4, 5, 6]])
-    @example([[Fraction(0), 0, 0, 0, 0, 7, Fraction(1, 3)], [2, -1, Fraction(5, 2)]])
-    @example([[0, 0, Fraction(-1, 2), 3], [0, 5, 0, 0, 0, 2]])
-    def test_mul_with_leading_zeros_matches_fraction_reference(self, factors):
-        a, b = factors
-        for x, y in ((a, b), (b, a)):
-            product = PowerSeries(x) * PowerSeries(y)
-            assert product.coeffs == tuple(fraction_product(x, y))
-            assert_normal_form(product)
-
-    def test_mul_forms_only_products_above_both_valuations(self, monkeypatch):
-        formed = []
-
-        def counted_mul(x, y):
-            formed.append((x, y))
-            return x * y
-
-        monkeypatch.setattr(series_module, "mul", counted_mul)
-        a = PowerSeries([0] * 4 + list(range(1, 18)))
-        b = PowerSeries([0] * 6 + [Fraction(k, 3) for k in range(1, 16)])
-        assert a.order == b.order == 20
-        product = a * b
-        assert product.coeffs == tuple(fraction_product(a.coeffs, b.coeffs))
-        # x^m for m = 10..20 sums m - 9 products: 1 + 2 + ... + 11.
-        assert len(formed) == 66
-        formed.clear()
-        late = PowerSeries([0] * 17 + [1] * 4)
-        assert (a * late).coeffs == (0,) * 21
-        assert (late * b).coeffs == (0,) * 21
-        assert formed == []
-
-    @pytest.mark.parametrize("long_first", [True, False])
-    def test_mul_of_unequal_orders_matches_fraction_reference(self, long_first):
-        # The hypothesis draws stay at 9 coefficients; here one factor is
-        # much longer than the other, in either position.
-        long = [Fraction((-1) ** k * (k + 1), k % 3 + 1) for k in range(21)]
-        short = [3, -2, Fraction(1, 2), 0, Fraction(-7, 3), 5]
-        a, b = (long, short) if long_first else (short, long)
-        product = PowerSeries(a) * PowerSeries(b)
-        assert product.order == 5
-        assert product.coeffs == tuple(fraction_product(a, b))
-        assert_normal_form(product)
-
-    @given(series_strategy(5), series_strategy(5), series_strategy(5))
-    def test_mul_distributes(self, a, b, c):
-        n = min(a.order, b.order, c.order)
-        assert (a * (b + c)).truncate(n) == (a * b + a * c).truncate(n)
-
-    @pytest.mark.parametrize(
-        "c", [-7, -6, 0, 5, 6, 10**40 + 3, -(10**40) * 6, Fraction(-7, 3), Fraction(9, 4)]
-    )
-    @pytest.mark.parametrize("d", [-4, -2, 1, 2, 3, 6, Fraction(3, 2), Fraction(-1, 3)])
-    def test_divide_matches_fraction_reference(self, c, d):
-        expected = Fraction(c) / Fraction(d)
-        quotient = _divide(c, d)
-        assert quotient == expected
-        assert type(quotient) is (int if expected.denominator == 1 else Fraction)
-
-    @given(mixed_coefficients, st.one_of(st.integers(-12, 12), rationals).filter(bool))
-    def test_truediv_matches_fraction_reference(self, coeffs, divisor):
-        quotient = PowerSeries(coeffs) / divisor
-        assert quotient.coeffs == tuple(Fraction(c) / Fraction(divisor) for c in coeffs)
-        assert_normal_form(quotient)
-
-    @pytest.mark.parametrize("zero", [0, Fraction(0)])
-    def test_division_by_zero(self, zero):
-        with pytest.raises(ZeroDivisionError):
-            PowerSeries([1, Fraction(1, 2)]) / zero
-        with pytest.raises(ZeroDivisionError):
-            _divide(3, zero)
 
 
 class TestSqrt:
@@ -334,6 +255,151 @@ class TestSqrt:
         root = series.sqrt()
         assert root * root == series
         assert root.coefficient(0) == constant
+
+
+class TestArithmetic:
+    def test_add_truncates_to_min_order(self):
+        a = PowerSeries([1, 1, 1, 1])
+        b = PowerSeries([1, 2])
+        assert (a + b).coeffs == (2, 3)
+        assert (a - b).coeffs == (0, -1)
+
+    def test_identity_laws(self):
+        a = PowerSeries([3, 1, 4, 1, 5])
+        one = PowerSeries.identity(4)
+        zero = PowerSeries.zero(4)
+        assert a + zero == a
+        assert one * a == a
+        assert a * one == a
+
+    def test_scale_and_shift(self):
+        a = PowerSeries([1, 2, 3])
+        assert a.scale(3).coeffs == (3, 6, 9)
+        assert (2 * a).coeffs == (2, 4, 6)
+        assert (a / 2).coeffs == (Fraction(1, 2), 1, Fraction(3, 2))
+        assert a.shift().coeffs == (0, 1, 2)
+        assert PowerSeries.identity(3).shift().coeffs == (0, 1, 0, 0)
+
+    def test_mul_oracle_values(self):
+        r = closed_form("r", 4)
+        assert (r * r).coefficient(4) == 33
+        t = closed_form("t", 2)
+        f = closed_form("f", 2)
+        assert (t * f).coefficient(2) == 1
+
+    def test_pow(self):
+        x = PowerSeries.x(5)
+        assert (x**3).coeffs == (0, 0, 0, 1, 0, 0)
+        a = PowerSeries([1, 1, 0, 0])
+        assert (a**2).coeffs == (1, 2, 1, 0)
+        assert (a**0) == PowerSeries.identity(3)
+        with pytest.raises(ValueError):
+            a ** (-1)
+
+    def test_mul_forms_only_products_above_both_valuations(self, monkeypatch):
+        formed = []
+
+        def counted_mul(x, y):
+            formed.append((x, y))
+            return x * y
+
+        monkeypatch.setattr(series_module, "mul", counted_mul)
+        a = PowerSeries([0] * 4 + list(range(1, 18)))
+        b = PowerSeries([0] * 6 + [Fraction(k, 3) for k in range(1, 16)])
+        assert a.order == b.order == 20
+        product = a * b
+        assert product.coeffs == tuple(fraction_product(a.coeffs, b.coeffs))
+        # x^m for m = 10..20 sums m - 9 products: 1 + 2 + ... + 11.
+        assert len(formed) == 66
+        formed.clear()
+        late = PowerSeries([0] * 17 + [1] * 4)
+        assert (a * late).coeffs == (0,) * 21
+        assert (late * b).coeffs == (0,) * 21
+        assert formed == []
+
+    def test_mul_at_valuation_sum_n_forms_one_product(self, formed):
+        a = PowerSeries([0, 0, 3, 9, 9])
+        b = PowerSeries([0, 0, Fraction(5, 2), 7, 7, 7])
+        for x, y in ((a, b), (b, a)):
+            formed.clear()
+            assert (x * y).coeffs == (0, 0, 0, 0, Fraction(15, 2))
+            assert len(formed) == 1
+
+    def test_mul_past_valuation_sum_n_is_zero_without_products(self, formed):
+        a = PowerSeries([0, 1, 2, 3])
+        # va + vb = n + 1: b's first nonzero coefficient is its last, and
+        # an all-zero factor, of a's order or shorter, has valuation n + 1.
+        for b in (PowerSeries([0, 0, 0, 4]), PowerSeries.zero(3), PowerSeries.zero(2)):
+            for product in (a * b, b * a):
+                assert product.coeffs == (0,) * (b.order + 1)
+                assert set(map(type, product.coeffs)) == {int}
+        assert formed == []
+
+    @given(series_strategy(), series_strategy())
+    def test_mul_commutes(self, a, b):
+        assert a * b == b * a
+
+    @given(series_strategy(5), series_strategy(5), series_strategy(5))
+    def test_mul_associates(self, a, b, c):
+        n = min(a.order, b.order, c.order)
+        assert ((a * b) * c).truncate(n) == (a * (b * c)).truncate(n)
+
+    @given(mixed_coefficients, mixed_coefficients)
+    def test_mul_matches_fraction_reference(self, a, b):
+        product = PowerSeries(a) * PowerSeries(b)
+        assert product.coeffs == tuple(fraction_product(a, b))
+        assert_normal_form(product)
+
+    @given(padded_factors())
+    @example([[0, Fraction(0), 0], [Fraction(1, 2), -3, 4, 5, 6]])
+    @example([[Fraction(0), 0, 0, 0, 0, 7, Fraction(1, 3)], [2, -1, Fraction(5, 2)]])
+    @example([[0, 0, Fraction(-1, 2), 3], [0, 5, 0, 0, 0, 2]])
+    def test_mul_with_leading_zeros_matches_fraction_reference(self, factors):
+        a, b = factors
+        for x, y in ((a, b), (b, a)):
+            product = PowerSeries(x) * PowerSeries(y)
+            assert product.coeffs == tuple(fraction_product(x, y))
+            assert_normal_form(product)
+
+    @pytest.mark.parametrize("long_first", [True, False])
+    def test_mul_of_unequal_orders_matches_fraction_reference(self, long_first):
+        # The hypothesis draws stay at 9 coefficients; here one factor is
+        # much longer than the other, in either position.
+        long = [Fraction((-1) ** k * (k + 1), k % 3 + 1) for k in range(21)]
+        short = [3, -2, Fraction(1, 2), 0, Fraction(-7, 3), 5]
+        a, b = (long, short) if long_first else (short, long)
+        product = PowerSeries(a) * PowerSeries(b)
+        assert product.order == 5
+        assert product.coeffs == tuple(fraction_product(a, b))
+        assert_normal_form(product)
+
+    @given(series_strategy(5), series_strategy(5), series_strategy(5))
+    def test_mul_distributes(self, a, b, c):
+        n = min(a.order, b.order, c.order)
+        assert (a * (b + c)).truncate(n) == (a * b + a * c).truncate(n)
+
+    @pytest.mark.parametrize(
+        "c", [-7, -6, 0, 5, 6, 10**40 + 3, -(10**40) * 6, Fraction(-7, 3), Fraction(9, 4)]
+    )
+    @pytest.mark.parametrize("d", [-4, -2, 1, 2, 3, 6, Fraction(3, 2), Fraction(-1, 3)])
+    def test_divide_matches_fraction_reference(self, c, d):
+        expected = Fraction(c) / Fraction(d)
+        quotient = _divide(c, d)
+        assert quotient == expected
+        assert type(quotient) is (int if expected.denominator == 1 else Fraction)
+
+    @given(mixed_coefficients, st.one_of(st.integers(-12, 12), rationals).filter(bool))
+    def test_truediv_matches_fraction_reference(self, coeffs, divisor):
+        quotient = PowerSeries(coeffs) / divisor
+        assert quotient.coeffs == tuple(Fraction(c) / Fraction(divisor) for c in coeffs)
+        assert_normal_form(quotient)
+
+    @pytest.mark.parametrize("zero", [0, Fraction(0)])
+    def test_division_by_zero(self, zero):
+        with pytest.raises(ZeroDivisionError):
+            PowerSeries([1, Fraction(1, 2)]) / zero
+        with pytest.raises(ZeroDivisionError):
+            _divide(3, zero)
 
 
 class TestVocabulary:
