@@ -33,8 +33,9 @@ error, 3 budget exceeded (brute force beyond its budget, or a table of
 more than `commands.table.TABLE_ROW_LIMIT` rows).  A route that fails
 its own check is a counterexample too: a closed form that expands to a
 non-integral or negative count (`ConsistencyError`), or a recurrence
-step whose halving is not exact (`ArithmeticError`; `main` maps every
-`ArithmeticError` so).  It exits 1 with one error line, nothing on stdout.
+step whose halving is not exact.  Both are `ArithmeticError`s, and
+`main` maps every `ArithmeticError` to exit 1, with one error line and
+nothing on stdout.
 Exit 2 is any ValueError: this module raises plain ValueError for its
 own usage errors (a setting below its floor, an environment value that
 is not an integer, a bad --tamper, an --output path that cannot be
@@ -289,20 +290,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
-        # The recurrence's halving check failed: a counterexample, as below.
+        # A route failed its own check (a closed form's `ConsistencyError`,
+        # the recurrence's halving): a counterexample.
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    # These two are named through the package's lazy export, and last: each
-    # expression is evaluated (and its module loaded) only for an exception
-    # that no clause above caught.  The budget clause comes first: only
-    # `logic` raises BudgetError, so a budget error loads no `series`.
+    # Named through the package's lazy export, and last: the expression is
+    # evaluated (and `logic` loaded) only for an exception that no clause
+    # above caught.
     except imptables.BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except imptables.ConsistencyError as exc:
-        # A closed form that fails its own count check is a counterexample.
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 def _discard_stdout() -> None:

@@ -14,10 +14,11 @@ Every claim is one lazy stream of cases fed to one call of one runner,
 order and reports the first failing index with both sides as a witness.
 A claim states its relation, its witness context and its failure detail
 once, the last two as `str.format` templates; a case carries only its
-two coefficient sequences, its indices and the fields those templates
-name (the elements it multiplies, say, or, where the cases of one claim
-differ in wording, the case's own `context` and `failed` text).  Only a
-failing case is formatted.
+two coefficient sequences and the fields those templates name (the
+elements it multiplies, say, or, where the cases of one claim differ in
+wording, the case's own `context` and `failed` text).  `_check` alone
+states which indices a relation checks.  Only a failing case is
+formatted.
 A deliberate tamper hook can corrupt one coefficient of one generator so
 the pipeline's failure path can be exercised end to end.
 
@@ -317,19 +318,19 @@ def _triples(
 
 # --- checkers ----------------------------------------------------------------
 
-# One case of a claim: two coefficient sequences, the indices `ns` at which the
-# claim's relation must hold between them, and the fields that the claim's
-# witness context and failure detail name.  Every claim is one stream of cases
-# into one `_check` call, which states its relation and both `str.format`
-# templates once; the context's "{n}" stands for the failing index and the
-# detail's "{count}" for the cases run so far.  Where cases differ in wording,
-# a field carries the case's own text: each power identity's `identity`, and
-# each partition's `context` and `failed`, which its templates "{context}" and
-# "{failed}" print whole.  Only a failing case is formatted, so a passing claim
-# never turns an element into text.  Claims yield their cases lazily, so work
-# stops at the first failure: no case's sides are formed before the case
-# before it has held.
-Case = tuple[Sequence, Sequence, Iterable[int], dict[str, object]]
+# One case of a claim: two coefficient sequences, between which the claim's
+# relation must hold at the indices `_check` states for that relation, and the
+# fields that the claim's witness context and failure detail name.  Every claim
+# is one stream of cases into one `_check` call, which states its relation and
+# both `str.format` templates once; the context's "{n}" stands for the failing
+# index and the detail's "{count}" for the cases run so far.  Where cases differ
+# in wording, a field carries the case's own text: each power identity's
+# `identity`, and each partition's `context` and `failed`, which its templates
+# "{context}" and "{failed}" print whole.  Only a failing case is formatted, so
+# a passing claim never turns an element into text.  Claims yield their cases
+# lazily, so work stops at the first failure: no case's sides are formed before
+# the case before it has held.
+Case = tuple[Sequence, Sequence, dict[str, object]]
 
 
 def _below_total(c, g) -> bool:
@@ -352,18 +353,20 @@ def _check(
     `failed` template the witness context and the failure detail; `passed`
     is the detail when every case holds ("{count}" is the number of cases).
 
-    Under `eq` a case first compares its two sides whole (``lhs == rhs``,
-    one call into C) and walks its indices only when they differ, so the
-    witness is the same.  A color class's dict never equals a series'
-    coefficients, so those cases are always walked.  The other relations
-    walk every case: a prescan of them costs more than it saves.
+    `eq` is checked on the whole truncation, 0 <= n <= order; the bound
+    relations for 2 <= n <= order, as their claims state.  Under `eq`
+    a case first compares its two sides whole (``lhs == rhs``, one call
+    into C) and walks its indices only when they differ, so the witness is
+    the same.  The other relations walk every case: a prescan of them
+    costs more than it saves.
     """
     claim, order = f"{claim}[{realizer.logic}]", realizer.order
+    first = 0 if holds is eq else 2
     count = 0
-    for count, (lhs, rhs, ns, fields) in enumerate(cases, 1):
+    for count, (lhs, rhs, fields) in enumerate(cases, 1):
         if holds is eq and lhs == rhs:
             continue
-        for n in ns:
+        for n in range(first, order + 1):
             if not holds(lhs[n], rhs[n]):
                 witness = Witness(n, lhs[n], rhs[n], context.format(n=n, **fields))
                 return VerificationReport(
@@ -376,9 +379,8 @@ def verify_commutativity(
     realizer: Realizer, pairs: Iterable[tuple[MonoidElement, MonoidElement]]
 ) -> VerificationReport:
     """realize(a)*realize(b) equals realize(b)*realize(a), coefficientwise."""
-    every_n = range(realizer.order + 1)
     cases = (
-        (realizer.product(a, b).coeffs, realizer.product(b, a).coeffs, every_n, {"a": a, "b": b})
+        (realizer.product(a, b).coeffs, realizer.product(b, a).coeffs, {"a": a, "b": b})
         for a, b in pairs
     )
     return _check(
@@ -400,12 +402,10 @@ def verify_associativity(
     The inner products come from `Realizer.product`, so a triple that
     starts with a pair already checked for commutativity reuses its a*b.
     """
-    every_n = range(realizer.order + 1)
     cases = (
         (
             (realizer.product(a, b) * realizer.realize(c)).coeffs,
             (realizer.realize(a) * realizer.product(b, c)).coeffs,
-            every_n,
             {"a": a, "b": b, "c": c},
         )
         for a, b, c in triples
@@ -430,13 +430,12 @@ def verify_bound(
     ValueError if passed.
     """
     total = realizer.total().coeffs
-    above_one = range(2, realizer.order + 1)
 
     def cases() -> Iterator[Case]:
         for e in elements:
             if e.is_identity:
                 raise ValueError("the bound claim excludes the identity element")
-            yield realizer.realize(e).coeffs, total, above_one, {"e": e}
+            yield realizer.realize(e).coeffs, total, {"e": e}
 
     return _check(
         realizer,
@@ -460,7 +459,6 @@ def verify_power_identities(realizer: Realizer, k_max: int) -> VerificationRepor
     if realizer.logic != "kleene":
         raise ValueError("power identities are stated for the three-valued generators")
     _check_int("k_max", k_max, 2)
-    every_n = range(realizer.order + 1)
     f, g, u = realizer.series("f"), realizer.series("g"), realizer.series("u")
     power = realizer.power
 
@@ -475,7 +473,7 @@ def verify_power_identities(realizer: Realizer, k_max: int) -> VerificationRepor
         yield f"t^{k} vs (2/3)t^{j}g^2 - (2/3)t^{j}gf + t^{j}f^2 + x*t^{j}", power("t", k), t_rhs
 
     cases = (
-        (lhs.coeffs, rhs.coeffs, every_n, {"k": k, "identity": identity})
+        (lhs.coeffs, rhs.coeffs, {"k": k, "identity": identity})
         for k in range(2, k_max + 1)
         for identity, lhs, rhs in identities(k)
     )
@@ -501,21 +499,20 @@ def verify_partitions(realizer: Realizer) -> VerificationReport:
     its own context and failure text; only the pass text depends on the
     logic.
     """
-    logic, order = realizer.logic, realizer.order
-    every_n = range(order + 1)
+    logic = realizer.logic
     names, total = GENERATORS[logic], TOTALS[logic]
     g = realizer.total().coeffs
-    color_n = min(COLOR_N_MAX, order)
+    color_n = min(COLOR_N_MAX, realizer.order)
 
     def cases() -> Iterator[Case]:
         side = " + ".join(names)
-        yield reduce(add, map(realizer.series, names)).coeffs, g, every_n, {
+        yield reduce(add, map(realizer.series, names)).coeffs, g, {
             "context": f"{side} vs {total}",
             "failed": f"{side} missed {total}",
         }
         if logic == "kleene":
             u3 = (3 * realizer.series("u")).coeffs
-            yield u3, g, every_n, {"context": "3u vs g", "failed": "3u missed g"}
+            yield u3, g, {"context": "3u vs g", "failed": "3u missed g"}
             return
         # Keyed by the truth values of the root's (left, right) subformulas,
         # as the color classes are: rr, rs, sr, ss.
@@ -526,18 +523,22 @@ def verify_partitions(realizer: Realizer) -> VerificationReport:
             for b in values
         }
         square = realizer.power(total, 2).coeffs
-        yield reduce(add, quadrants.values()).coeffs, square, every_n, {
+        yield reduce(add, quadrants.values()).coeffs, square, {
             "context": "rr + rs + sr + ss vs g2^2",
             "failed": "the four convolutions missed g2^2",
         }
-        yield square, g, range(2, order + 1), {
+        # g2^2 need match g2 only from n = 2 on: below that g2 stands in.
+        yield g[:2] + square[2:], g, {
             "context": "g2^2 vs g2",
             "failed": "g2^2 diverged from g2 at n >= 2",
         }
         for n in range(2, color_n + 1):
             classes = color_class_counts(n, CLASSICAL)
             for key, series in quadrants.items():
-                yield {n: classes[key]}, series.coeffs, (n,), {
+                # The convolution with brute force's count in place of its x^n.
+                counted = list(series.coeffs)
+                counted[n] = classes[key]
+                yield tuple(counted), series.coeffs, {
                     "context": f"color class {key} at n={n}",
                     "failed": "brute-force color classes disagreed with the convolutions",
                 }
@@ -559,7 +560,6 @@ def verify_ideal_samples(
     the bounded set.
     """
     total = realizer.total().coeffs
-    above_one = range(2, realizer.order + 1)
     elements = tuple(elements)
     powers = [
         MonoidElement.from_powers(realizer.logic, **{name: k})
@@ -567,7 +567,7 @@ def verify_ideal_samples(
         for k in range(1, IDEAL_POWER_CAP + 1)
     ]
     cases = (
-        (realizer.realize(p * a).coeffs, total, above_one, {"p": p, "a": a})
+        (realizer.realize(p * a).coeffs, total, {"p": p, "a": a})
         for p in powers
         for a in elements
     )
@@ -597,7 +597,6 @@ def verify_substitution_bounds(realizer: Realizer) -> VerificationReport:
     """
     if realizer.logic != "kleene":
         raise ValueError("substitution bounds are stated for the three-valued generators")
-    above_one = range(2, realizer.order + 1)
     families = (
         ("u", "f", "u", "[x^n](u^a*(u*f)^k) vs [x^n]u^k"),
         ("u", "t", "t", "[x^n](u^a*(u*t)^k) vs [x^n]t^k"),
@@ -609,7 +608,6 @@ def verify_substitution_bounds(realizer: Realizer) -> VerificationReport:
                 MonoidElement.from_powers("kleene", **{extra_name: a + k, partner: k})
             ).coeffs,
             realizer.power(target, k).coeffs,
-            above_one,
             {"pattern": pattern, "a": a, "k": k},
         )
         for extra_name, partner, target, pattern in families

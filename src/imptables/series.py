@@ -68,10 +68,12 @@ from . import _check_int
 Scalar = "int | Fraction"
 
 
-class ConsistencyError(Exception):
+class ConsistencyError(ArithmeticError):
     """A count series expanded to something non-integral or negative.
 
     This signals a transcription bug in the closed forms, not bad input.
+    An `ArithmeticError`, as a failed halving of the recurrence is: the
+    command line maps both to exit 1.
     """
 
 

@@ -730,9 +730,13 @@ class TestSettings:
 
 
 class TestExitCodeClauses:
-    """`main` maps ValueError to exit 2, OSError to 2, ArithmeticError to 1
-    and, last, BudgetError to 3 and ConsistencyError to 1; any other
-    exception is not its business."""
+    """`main` maps ValueError to exit 2, OSError to 2, ArithmeticError
+    (ConsistencyError included) to 1 and, last, BudgetError to 3; any
+    other exception is not its business."""
+
+    def test_consistency_error_is_an_arithmetic_error(self):
+        # So a closed form's failed self-check takes the exit-1 clause.
+        assert issubclass(imptables.ConsistencyError, ArithmeticError)
 
     def test_other_exception_propagates_unchanged(self, monkeypatch):
         error = RuntimeError("no exit code for this")

@@ -176,6 +176,21 @@ class TestConstruction:
         with pytest.raises(IndexError):
             s.truncate(9)
 
+    @pytest.mark.parametrize("value", [True, 2.0], ids=["bool", "float"])
+    @pytest.mark.parametrize(
+        "name, call",
+        [
+            ("order", lambda v: PowerSeries([1, 2, 3]).truncate(v)),
+            ("n", lambda v: PowerSeries([1, 2, 3]).coefficient(v)),
+            ("order", lambda v: PowerSeries.constant(7, v)),
+            ("order", PowerSeries.x),
+        ],
+        ids=["truncate", "coefficient", "constant", "x"],
+    )
+    def test_order_and_index_must_be_ints(self, name, call, value):
+        with pytest.raises(TypeError, match=f"^{name} must be an int, got {value!r}$"):
+            call(value)
+
     def test_repr_shows_eight_coefficients_then_a_tail(self):
         assert repr(closed_form("t", 7)) == (
             "PowerSeries([0, 1, 5, 30, 229, 1938, 17530, 165852], order=7)"
