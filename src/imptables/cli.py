@@ -123,7 +123,7 @@ def _setting(
             raise ValueError(f"{source} must be an integer, got {raw!r}")
     elif value is None:
         value = default
-    if value is not None and floor is not None:
+    if floor is not None:
         imptables._check_int(source, value, floor, why)
     return value
 

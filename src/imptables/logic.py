@@ -455,8 +455,6 @@ def _dp_counts(tree: Bracketing, sem: Semantics) -> list[int]:
     right = _dp_counts(tree.right, sem)
     out = [0, 0, 0]
     for a in sem.values:
-        if not left[a]:
-            continue
         row = _IMPLIES_TABLE[a]
         for b in sem.values:
             out[row[b]] += left[a] * right[b]

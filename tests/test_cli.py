@@ -534,7 +534,7 @@ class TestMonoid:
         code, out, err = run(capsys, "monoid", "--order", "12", "--tamper", "t:99:1")
         assert code == 2
         assert out == ""
-        assert "error: --tamper index 99 outside orders 0..12" in err
+        assert "error: tamper index 99 outside orders 0..12" in err
 
     def test_library_value_error_is_a_usage_error(self, capsys, monkeypatch):
         def reject(**kwargs):

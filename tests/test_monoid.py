@@ -133,10 +133,13 @@ class TestMonoidElement:
             MonoidElement("kleene", (1, -1, 0))
         with pytest.raises(ValueError):
             MonoidElement("bogus", (1,))
-        with pytest.raises(ValueError):
-            MonoidElement.from_powers("kleene", t=1) * MonoidElement.from_powers(
-                "classical", r=1
-            )
+        kleene = MonoidElement.from_powers("kleene", t=1)
+        classical = MonoidElement.from_powers("classical", r=1)
+        # Both orders: classical * kleene has as many exponents as a classical
+        # element, so only the logic check rejects it.
+        for a, b in ((kleene, classical), (classical, kleene)):
+            with pytest.raises(ValueError, match=f"^cannot mix {a.logic} and {b.logic} elements$"):
+                a * b
 
     def test_times_a_non_element_is_a_type_error(self):
         with pytest.raises(TypeError):
@@ -453,7 +456,8 @@ class TestPowerIdentities:
         assert report.verified
 
     def test_requires_kleene(self, classical_realizer):
-        with pytest.raises(ValueError):
+        message = "^power identities are stated for the three-valued generators$"
+        with pytest.raises(ValueError, match=message):
             verify_power_identities(classical_realizer, 3)
 
     def test_requires_k_at_least_two(self, kleene_realizer):
@@ -641,7 +645,8 @@ class TestIdealAndSubstitution:
         assert (report.witness.n, report.witness.lhs, report.witness.rhs) == (2, 7, 7)
 
     def test_substitution_requires_kleene(self, classical_realizer):
-        with pytest.raises(ValueError):
+        message = "^substitution bounds are stated for the three-valued generators$"
+        with pytest.raises(ValueError, match=message):
             verify_substitution_bounds(classical_realizer)
 
 

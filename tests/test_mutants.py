@@ -27,10 +27,20 @@ class Box:
 
     def shown(self, x):
         return f"{x + 1}"
+
+    def pick(self, x):
+        if x:
+            y = self.side
+        elif x is None:
+            y = 0
+        else:
+            y = 1
+        return y if self.open else True
 '''
 
 EXPECTED = [
     "snippet.py:clamp:literal: 0 -> 1",
+    "snippet.py:clamp:guard: if x < low and x != -1: -> pass",
     "snippet.py:clamp:boolean: x < low and x != -1 -> x != -1",
     "snippet.py:clamp:boolean: x < low and x != -1 -> x < low",
     "snippet.py:clamp:relational: x < low -> x <= low",
@@ -45,6 +55,12 @@ EXPECTED = [
     "snippet.py:clamp:literal: 2 * 3 -> 3 * 3",
     "snippet.py:clamp:literal: 2 * 3 -> 2 * 4",
     "snippet.py:Box.area:arithmetic: self.side * self.side -> self.side // self.side",
+    # No guard mutant in an if/elif/else chain.
+    "snippet.py:Box.pick:literal: 0 -> 1",
+    "snippet.py:Box.pick:literal: 1 -> 2",
+    "snippet.py:Box.pick:conditional: y if self.open else True -> y",
+    "snippet.py:Box.pick:conditional: y if self.open else True -> True",
+    "snippet.py:Box.pick:bool: y if self.open else True -> y if self.open else False",
 ]
 
 
@@ -66,6 +82,13 @@ def test_each_mutant_parses_and_replaces_one_span():
             assert new == str(int(old) + 1)
         elif operator == "call":
             assert (old, new) == ("log(x)", "pass")
+        elif operator == "guard":
+            assert old.startswith("if x < low and x != -1:\n") and old.endswith("log(x)")
+            assert new == "pass"
+        elif operator == "conditional":
+            assert old == "y if self.open else True" and new in ("y", "True")
+        elif operator == "bool":
+            assert (old, new) == ("True", "False")
         else:
             assert (old, new) in {("x < low and x != -1", "x != -1"), ("x < low and x != -1", "x < low")}
 

@@ -1,4 +1,5 @@
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -105,6 +106,25 @@ class TestConstruction:
         assert s.order == 2
         assert s.coefficient(0) == 1
         assert s.coefficient(2) == 3
+
+    def test_operands_that_are_not_series_or_scalars(self):
+        s = PowerSeries([1, 2, 3])
+        assert s == PowerSeries([1, 2, 3])
+        assert s != PowerSeries([1, 2, 4])
+        assert (s == (1, 2, 3)) is False
+        # Each operator declines what it cannot take, so Python names both types.
+        for operation, other in ((operator.add, 1), (operator.sub, 1), (operator.truediv, "2")):
+            with pytest.raises(TypeError, match=f"'PowerSeries' and '{type(other).__name__}'$"):
+                operation(s, other)
+        assert s / Fraction(1, 2) == PowerSeries([2, 4, 6])
+        assert Fraction(1, 2) * s == PowerSeries([Fraction(1, 2), 1, Fraction(3, 2)])
+
+        class Operand:
+            def __rmul__(self, other):
+                return "the operand's product"
+
+        # __mul__ declines too, so the other operand's __rmul__ answers.
+        assert s * Operand() == "the operand's product"
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
